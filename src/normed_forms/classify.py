@@ -7,6 +7,15 @@ f / r representing r.  Type (-,-) reduces to a quadruple (a, b, c, d) with
 
     a^2 - c d = m,    a c - b d = k,    c^2 - a b = n.
 
+Eliminating b and d makes that search linear in the box size:
+
+    f(c, -a) = (a^2 - c d) c^2 - (a c - b d) a c + (c^2 - a b) a^2
+             = a^2 c^2 - a^3 b - c^3 d + a b c d
+             = (a^2 - c d)(c^2 - a b) = m n,
+
+so (c, -a) represents m n by f itself: one exact row solve per a finds every
+candidate (a, c), and divisibility completes b and d.
+
 For positive definite forms both searches are complete: representation by a
 definite form is a finite ellipse problem, and every minus-minus witness
 obeys the exact coordinate bounds
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
-from .forms import DegenerateFormError, Definiteness, Form, principal_form
+from .forms import DegenerateFormError, Definiteness, Form, _row_solutions, principal_form
 from .pairings import PlusParams, Quadruple
 
 
@@ -129,56 +138,53 @@ def _scan_quadruples(
 ) -> list[Quadruple]:
     """All quadruples inside the box solving the three witness equations.
 
-    b and d are determined by (a, c) except in zero cases, which are handled
-    exactly; a nondegenerate form never leaves a free coordinate.
+    Only (a, c) with f(c, -a) = m n are visited (module docstring).  b and d
+    are determined by (a, c) except in zero cases, which are handled exactly;
+    a nondegenerate form never leaves a free coordinate.
     """
     m, k, n = form.coefficients()
     amax, bmax, cmax, dmax = bounds
     found: list[Quadruple] = []
-    for a in range(-amax, amax + 1):
-        for c in range(-cmax, cmax + 1):
-            if a == 0 and c == 0:
-                # forces m = n = 0; then b d = -k, one witness per divisor
-                if m == 0 and n == 0 and k != 0:
-                    for b in range(-bmax, bmax + 1):
-                        if b == 0 or k % b:
-                            continue
-                        d = -(k // b)
-                        if abs(d) <= dmax:
-                            found.append(Quadruple(0, b, 0, d))
+    for c, minus_a in _row_solutions(form, m * n, range(-amax, amax + 1), cmax):
+        a = -minus_a
+        if a == 0 and c == 0:
+            # forces m = n = 0; then b d = -k, one witness per divisor
+            if m == 0 and n == 0 and k != 0:
+                for b in range(-bmax, bmax + 1):
+                    if b == 0 or k % b:
+                        continue
+                    d = -(k // b)
+                    if abs(d) <= dmax:
+                        found.append(Quadruple(0, b, 0, d))
+            continue
+        if c == 0:
+            # m = a^2, n = -a b, k = -b d
+            if a * a != m or n % a:
                 continue
-            if c == 0:
-                # m = a^2, n = -a b, k = -b d
-                if a * a != m or n % a:
-                    continue
-                b = -(n // a)
-                if b == 0:
-                    continue
-                if k % b:
-                    continue
-                d = -(k // b)
-            elif a == 0:
-                # n = c^2, m = -c d, k = -b d
-                if c * c != n or m % c:
-                    continue
-                d = -(m // c)
-                if d == 0:
-                    continue
-                if k % d:
-                    continue
-                b = -(k // d)
-            else:
-                if (a * a - m) % c or (c * c - n) % a:
-                    continue
-                d = (a * a - m) // c
-                b = (c * c - n) // a
-                if a * c - b * d != k:
-                    continue
-            if abs(b) > bmax or abs(d) > dmax:
+            b = -(n // a)
+            if b == 0 or k % b:
                 continue
-            quad = Quadruple(a, b, c, d)
-            if quad.form() == form:
-                found.append(quad)
+            d = -(k // b)
+        elif a == 0:
+            # n = c^2, m = -c d, k = -b d
+            if c * c != n or m % c:
+                continue
+            d = -(m // c)
+            if d == 0 or k % d:
+                continue
+            b = -(k // d)
+        else:
+            if (a * a - m) % c or (c * c - n) % a:
+                continue
+            d = (a * a - m) // c
+            b = (c * c - n) // a
+            if a * c - b * d != k:
+                continue
+        if abs(b) > bmax or abs(d) > dmax:
+            continue
+        quad = Quadruple(a, b, c, d)
+        if quad.form() == form:
+            found.append(quad)
     found.sort(key=lambda q: (q.a, q.b, q.c, q.d))
     return found
 

@@ -17,9 +17,10 @@ Exit codes: 0 success, 1 verification negative, 2 input error,
 3 inconclusive under --strict, 4 I/O failure.
 
 The catalog command can fan classification out across processes; set
-NORMED_FORMS_THREADS to a worker count.  Records are buffered and emitted
-in canonical order (ascending discriminant, then enumeration order of the
-reduced forms), so the worker count never changes the output.
+NORMED_FORMS_THREADS to a worker count (clamped to the CPU count).  Records
+are buffered and emitted in canonical order (ascending discriminant, then
+enumeration order of the reduced forms), so the worker count never changes
+the output.
 """
 
 from __future__ import annotations
@@ -310,12 +311,13 @@ def _bool_cell(value) -> str:
 
 
 def _worker_count() -> int:
+    # clamped to the CPUs: the pool forks every worker up front
     raw = os.environ.get("NORMED_FORMS_THREADS", "")
     try:
         count = int(raw)
     except ValueError:
         return 1
-    return max(count, 1)
+    return max(min(count, os.cpu_count() or 1), 1)
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -329,7 +331,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     workers = _worker_count()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_catalog_record, tasks))
+            chunk = max(len(tasks) // (4 * workers), 1)
+            records = list(pool.map(_catalog_record, tasks, chunksize=chunk))
     else:
         records = [_catalog_record(task) for task in tasks]
     if args.format == "jsonl":

@@ -13,7 +13,10 @@ floating point.
 from __future__ import annotations
 
 import enum
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, islice
 from math import gcd, isqrt
 
 Vec2 = tuple[int, int]
@@ -155,18 +158,19 @@ class Form:
     def represent(self, target: int, box_bound: int = 100) -> Vec2 | None:
         """Search for an integer vector v with self(v) == target.
 
-        Positive definite forms: exact decision.  The solution set lies on an
-        ellipse, so |x2| <= sqrt(4*m*target/|disc|) and for each x2 the value
-        x1 solves a quadratic with discriminant disc*x2^2 + 4*m*target, checked
-        by exact integer square root.  box_bound is ignored and None is a
-        proof of non-representability.
+        Returns the first witness in lexicographic (x2, x1) order.  Each row
+        x2 is one exact solve (see _row_solutions); as f(-v) = f(v) and the
+        search region is symmetric, the first witness has x2 <= 0, so only
+        those rows are solved.
+
+        Positive definite forms: exact decision on the ellipse
+        |x1| <= sqrt(4*n*target/|disc|), |x2| <= sqrt(4*m*target/|disc|).
+        box_bound is ignored and None is a proof of non-representability.
 
         Negative definite forms delegate to -f with -target (same witness).
 
-        Indefinite and degenerate forms: bounded box scan over
+        Indefinite and degenerate forms: bounded search over
         |x1|, |x2| <= box_bound; None only means "not found within the box".
-
-        The returned witness is the first in lexicographic (x2, x1) order.
         """
         defin = self.definiteness()
         if defin is Definiteness.NEGATIVE_DEFINITE:
@@ -174,30 +178,50 @@ class Form:
         if defin is Definiteness.POSITIVE_DEFINITE:
             if target < 0:
                 return None
-            if target == 0:
-                return (0, 0)
-            m, k = self.m, self.k
             absd = -self.discriminant()
-            # floor(sqrt(4*m*target/absd)) computed exactly
-            bound = isqrt(4 * m * target * absd) // absd
-            two_m = 2 * m
-            for x2 in range(-bound, bound + 1):
-                disc = self.discriminant() * x2 * x2 + 4 * m * target
-                if disc < 0:
-                    continue
-                s = isqrt(disc)
-                if s * s != disc:
-                    continue
-                for numer in (-k * x2 - s, -k * x2 + s):
-                    if numer % two_m == 0:
-                        return (numer // two_m, x2)
-            return None
-        # indefinite or degenerate: bounded search only
-        for x2 in range(-box_bound, box_bound + 1):
-            for x1 in range(-box_bound, box_bound + 1):
-                if self((x1, x2)) == target:
-                    return (x1, x2)
-        return None
+            # floor(sqrt(4*coef*target/absd)) computed exactly
+            rows = range(-(isqrt(4 * self.m * target * absd) // absd), 1)
+            col_bound = isqrt(4 * self.n * target * absd) // absd
+        else:
+            rows, col_bound = range(-box_bound, 1), box_bound
+        return next(_row_solutions(self, target, rows, col_bound), None)
+
+
+def _row_solutions(form: Form, target: int, rows: range, col_bound: int) -> Iterator[Vec2]:
+    """Every (x1, x2) with form((x1, x2)) == target, x2 in rows, |x1| <= col_bound.
+
+    One exact solve per row: the quadratic in x1, whose discriminant is
+    disc*x2^2 + 4*m*target, by integer square root; or the linear equation
+    when m = 0, where a row with k*x2 = 0 solves for every x1 or for none.
+    Ascending rows give lexicographic (x2, x1) order.
+    """
+    m, k, n = form.m, form.k, form.n
+    if m < 0:  # same solutions; with m > 0 a row's two roots ascend
+        m, k, n, target = -m, -k, -n, -target
+    if m == 0:
+        for x2 in rows:
+            slope = k * x2
+            rest = target - n * x2 * x2
+            if slope == 0:
+                if rest == 0:
+                    for x1 in range(-col_bound, col_bound + 1):
+                        yield (x1, x2)
+            elif rest % slope == 0 and abs(rest // slope) <= col_bound:
+                yield (rest // slope, x2)
+        return
+    disc = k * k - 4 * m * n
+    four_mt = 4 * m * target
+    two_m = 2 * m
+    for x2 in rows:
+        row_disc = disc * x2 * x2 + four_mt
+        if row_disc < 0:
+            continue
+        s = isqrt(row_disc)
+        if s * s != row_disc:
+            continue
+        for numer in (-k * x2 - s, -k * x2 + s) if s else (-k * x2,):
+            if numer % two_m == 0 and abs(numer // two_m) <= col_bound:
+                yield (numer // two_m, x2)
 
 
 @dataclass(frozen=True)
@@ -231,42 +255,31 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     """
     if form.discriminant() == 0:
         raise DegenerateFormError("semigroup probe requires a nondegenerate form")
-    decided = form.definiteness() in (
-        Definiteness.POSITIVE_DEFINITE,
-        Definiteness.NEGATIVE_DEFINITE,
-    )
-    pts = [
-        (x1, x2)
-        for x1 in range(-sample_bound, sample_bound + 1)
-        for x2 in range(-sample_bound, sample_bound + 1)
-    ]
-    values = {p: form(p) for p in pts}
+    side = range(-sample_bound, sample_bound + 1)
+    values = {(x1, x2): form((x1, x2)) for x1 in side for x2 in side}
+    # f(x)f(y) depends only on the two values, so each unordered pair of
+    # distinct values is tested once and stands for mult*mult ordered pairs
+    mult = Counter(values.values())
     representable: dict[int, bool] = {}
-    recorded: list[tuple[Vec2, Vec2]] = []
     count = 0
-    pairs = 0
-    for x in pts:
-        fx = values[x]
-        for y in pts:
-            pairs += 1
-            t = fx * values[y]
-            hit = representable.get(t)
-            if hit is None:
-                hit = form.represent(t, search_bound) is not None
-                representable[t] = hit
-            if not hit:
-                count += 1
-                if len(recorded) < max_recorded:
-                    recorded.append((x, y))
+    for u, v in combinations_with_replacement(mult, 2):
+        t = u * v
+        if t not in representable:
+            representable[t] = form.represent(t, search_bound) is not None
+        if not representable[t]:
+            count += mult[u] * mult[v] * (1 if u == v else 2)
+    misses = ((x, y) for x in values for y in values
+              if not representable[values[x] * values[y]])
+    recorded = tuple(islice(misses, max(min(count, max_recorded), 0)))
     return SemigroupReport(
         form=form,
         sample_bound=sample_bound,
         search_bound=search_bound,
-        pairs_checked=pairs,
+        pairs_checked=len(values) ** 2,
         products_checked=len(representable),
         counterexample_count=count,
-        counterexamples=tuple(recorded),
-        decided=decided,
+        counterexamples=recorded,
+        decided=form.discriminant() < 0,
     )
 
 

@@ -2,11 +2,12 @@
 
 import json
 import math
+import os
 
 import pytest
 
 from normed_forms import Form, PlusParams, Quadruple, full_classification
-from normed_forms.cli import main
+from normed_forms.cli import _worker_count, main
 
 
 def run(capsys, argv):
@@ -242,6 +243,21 @@ def test_catalog_deterministic_across_workers(capsys, monkeypatch, tmp_path):
     code, stdout, _ = run(capsys, args + ["--out", str(out_path)])
     assert code == 0 and stdout == ""
     assert out_path.read_text() == first
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    """NORMED_FORMS_THREADS yields between one worker and one per CPU.
+
+    Only the count is computed; no pool is started.
+    """
+    cpus = os.cpu_count() or 1
+    cases = [("1000000", cpus), ("2", min(2, cpus)), ("1", 1), ("0", 1),
+             ("-5", 1), ("many", 1), ("", 1)]
+    for raw, expected in cases:
+        monkeypatch.setenv("NORMED_FORMS_THREADS", raw)
+        assert _worker_count() == expected
+    monkeypatch.delenv("NORMED_FORMS_THREADS")
+    assert _worker_count() == 1
 
 
 def test_catalog_csv_schema(capsys):

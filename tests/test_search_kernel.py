@@ -1,0 +1,215 @@
+"""Differential tests for the row-solve search kernel.
+
+The brute-force O(B^2) scans that the kernel replaced live on here, and only
+here, as oracles: the indefinite double loop of Form.represent, the (a, c)
+double loop of the minus-minus scan, and the pair-by-pair semigroup probe.
+"""
+
+import time
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from normed_forms import Definiteness, Form, Quadruple, semigroup_probe
+from normed_forms.classify import _scan_quadruples, minus_minus_bounds, minus_minus_witnesses
+from normed_forms.forms import SemigroupReport, _row_solutions
+
+small = st.integers(min_value=-6, max_value=6)
+forms = st.builds(Form, small, small, small)
+nondegenerate = forms.filter(lambda f: f.discriminant() != 0)
+boxes = st.integers(min_value=0, max_value=7)
+
+
+def represent_oracle(form: Form, target: int, box_bound: int):
+    """The first witness in lexicographic (x2, x1) order, by full scan."""
+    defin = form.definiteness()
+    if defin is Definiteness.NEGATIVE_DEFINITE:
+        return represent_oracle(-form, -target, box_bound)
+    if defin is Definiteness.POSITIVE_DEFINITE:
+        if target < 0:
+            return None
+        # the ellipse f = target lies in |xi| <= bound
+        bound = 0
+        while -form.discriminant() * (bound + 1) ** 2 <= 4 * max(form.m, form.n) * target:
+            bound += 1
+        box_bound = bound
+    for x2 in range(-box_bound, box_bound + 1):
+        for x1 in range(-box_bound, box_bound + 1):
+            if form((x1, x2)) == target:
+                return (x1, x2)
+    return None
+
+
+def scan_oracle(form: Form, bounds):
+    """Every quadruple in the box, by the (a, c) double loop."""
+    m, k, n = form.coefficients()
+    amax, bmax, cmax, dmax = bounds
+    found = []
+    for a in range(-amax, amax + 1):
+        for c in range(-cmax, cmax + 1):
+            if a == 0 and c == 0:
+                if m == 0 and n == 0 and k != 0:
+                    for b in range(-bmax, bmax + 1):
+                        if b == 0 or k % b:
+                            continue
+                        d = -(k // b)
+                        if abs(d) <= dmax:
+                            found.append(Quadruple(0, b, 0, d))
+                continue
+            if c == 0:
+                if a * a != m or n % a:
+                    continue
+                b = -(n // a)
+                if b == 0 or k % b:
+                    continue
+                d = -(k // b)
+            elif a == 0:
+                if c * c != n or m % c:
+                    continue
+                d = -(m // c)
+                if d == 0 or k % d:
+                    continue
+                b = -(k // d)
+            else:
+                if (a * a - m) % c or (c * c - n) % a:
+                    continue
+                d = (a * a - m) // c
+                b = (c * c - n) // a
+                if a * c - b * d != k:
+                    continue
+            if abs(b) > bmax or abs(d) > dmax:
+                continue
+            quad = Quadruple(a, b, c, d)
+            if quad.form() == form:
+                found.append(quad)
+    found.sort(key=lambda q: (q.a, q.b, q.c, q.d))
+    return found
+
+
+def probe_oracle(form: Form, sample_bound: int, search_bound: int, max_recorded: int):
+    """The semigroup probe, one represent lookup per ordered pair."""
+    decided = form.definiteness() in (
+        Definiteness.POSITIVE_DEFINITE,
+        Definiteness.NEGATIVE_DEFINITE,
+    )
+    pts = [
+        (x1, x2)
+        for x1 in range(-sample_bound, sample_bound + 1)
+        for x2 in range(-sample_bound, sample_bound + 1)
+    ]
+    representable = {}
+    recorded = []
+    count = pairs = 0
+    for x in pts:
+        for y in pts:
+            pairs += 1
+            t = form(x) * form(y)
+            if t not in representable:
+                representable[t] = form.represent(t, search_bound) is not None
+            if not representable[t]:
+                count += 1
+                if len(recorded) < max_recorded:
+                    recorded.append((x, y))
+    return SemigroupReport(
+        form=form,
+        sample_bound=sample_bound,
+        search_bound=search_bound,
+        pairs_checked=pairs,
+        products_checked=len(representable),
+        counterexample_count=count,
+        counterexamples=tuple(recorded),
+        decided=decided,
+    )
+
+
+@given(forms, st.integers(-40, 40), boxes, boxes)
+@settings(max_examples=300)
+@example(Form(0, 0, 0), 0, 2, 3)
+@example(Form(0, 3, 0), 0, 2, 2)
+@example(Form(0, 2, 1), 4, 3, 3)
+@example(Form(-2, 1, 3), -2, 3, 3)
+@example(Form(3, 1, 0), 0, 0, 0)
+def test_row_solutions_match_full_scan(form, target, rows, cols):
+    """Every solution in the box, in lexicographic (x2, x1) order."""
+    expected = [
+        (x1, x2)
+        for x2 in range(-rows, rows + 1)
+        for x1 in range(-cols, cols + 1)
+        if form((x1, x2)) == target
+    ]
+    assert list(_row_solutions(form, target, range(-rows, rows + 1), cols)) == expected
+
+
+@given(forms, st.integers(-40, 40), boxes)
+@settings(max_examples=400)
+@example(Form(0, 0, 0), 0, 3)
+@example(Form(0, 0, 0), 1, 3)
+@example(Form(0, 5, 0), 0, 2)
+@example(Form(0, 5, 0), 10, 2)
+@example(Form(0, 1, 2), 8, 4)
+@example(Form(2, 1, 0), 3, 4)
+@example(Form(-1, 0, 2), 7, 0)
+@example(Form(-3, 1, -2), -6, 5)
+@example(Form(1, 2, 1), 9, 5)
+@example(Form(2, 1, 3), 0, 0)
+def test_represent_matches_oracle(form, target, box):
+    """Witness and None agree with the full box scan, degenerate forms too."""
+    assert form.represent(target, box) == represent_oracle(form, target, box)
+
+
+@given(nondegenerate, st.tuples(boxes, boxes, boxes, boxes))
+@settings(max_examples=300)
+@example(Form(0, 3, 0), (2, 4, 2, 4))
+@example(Form(0, 6, 0), (0, 7, 0, 7))
+@example(Form(0, 2, 3), (4, 4, 4, 4))
+@example(Form(1, 3, 0), (4, 4, 4, 4))
+@example(Form(-1, 1, 1), (5, 5, 5, 5))
+@example(Form(2, 1, 3), (0, 0, 0, 0))
+def test_scan_matches_oracle_on_boxes(form, bounds):
+    """The minus-minus scan finds exactly what the (a, c) loop finds."""
+    assert _scan_quadruples(form, bounds) == scan_oracle(form, bounds)
+
+
+@given(st.tuples(small, small, small, small), boxes)
+@settings(max_examples=200)
+def test_scan_matches_oracle_on_derived_forms(entries, box):
+    """Forms derived from a quadruple always have a witness to find."""
+    form = Quadruple(*entries).form()
+    if form.discriminant() == 0:
+        return
+    if form.definiteness() is Definiteness.POSITIVE_DEFINITE:
+        bounds = minus_minus_bounds(form)
+    else:
+        bounds = (box,) * 4
+    assert _scan_quadruples(form, bounds) == scan_oracle(form, bounds)
+
+
+@given(
+    nondegenerate,
+    st.integers(0, 2),
+    st.integers(0, 5),
+    st.sampled_from([0, 1, 2, 20]),
+)
+@settings(max_examples=200)
+@example(Form(2, 0, 3), 3, 100, 20)
+@example(Form(2, 0, 3), 2, 100, 0)
+@example(Form(2, 0, 3), 2, 100, 1)
+@example(Form(1, 0, -2), 2, 3, 1)
+@example(Form(0, 1, 0), 1, 0, 20)
+def test_probe_matches_oracle(form, sample_bound, search_bound, max_recorded):
+    """Every report field agrees with the pair-by-pair probe."""
+    assert semigroup_probe(form, sample_bound, search_bound, max_recorded) == probe_oracle(
+        form, sample_bound, search_bound, max_recorded
+    )
+
+
+def test_large_definite_witness_search_budget():
+    """One row solve per a: a form with amax near 1000 takes milliseconds."""
+    form = Form(1000003, 17, 999983)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        hits, _ = minus_minus_witnesses(form)
+        best = min(best, time.perf_counter() - start)
+    assert hits == []
+    assert best < 0.05
