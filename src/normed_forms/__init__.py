@@ -14,27 +14,30 @@ Modules:
     trigroup   the trilinear bracket and anchored pairings
     matembed   pairings induced on matrix sublattices span(A, rE)
     lattices   rank-2 lattices in Q(tau), ideals, class-group checks
-    classify   decision procedures and the real witness curve
+    classify   exact decision procedures for the four families
+    curve      the real witness curve (floating point, for plotting)
     cli        command-line front end (JSON lines / CSV)
 """
 
 from .classify import (
     ClassificationReport,
-    CurvePoint,
     Decision,
-    EmbeddingMatrix,
     Order3Verdict,
-    curve_embedding,
-    curve_phase,
-    curve_quadruple,
-    curve_sample,
-    embedding_to_quadruple,
     full_classification,
     minus_minus_bounds,
     minus_minus_witnesses,
     order3_verdict,
     search_minus_minus,
     search_plus,
+)
+from .curve import (
+    CurvePoint,
+    EmbeddingMatrix,
+    curve_embedding,
+    curve_phase,
+    curve_quadruple,
+    curve_sample,
+    embedding_to_quadruple,
 )
 from .forms import (
     DegenerateFormError,
@@ -86,7 +89,6 @@ from .pairings import (
     type_of,
 )
 from .trigroup import (
-    anchored_match_plus,
     anchored_pairings,
     bracket,
     bracket_is_multiplicative,
@@ -117,7 +119,6 @@ __all__ = [
     "TYPE_PM",
     "TYPE_PP",
     "adjugate",
-    "anchored_match_plus",
     "anchored_pairings",
     "bracket",
     "bracket_is_multiplicative",

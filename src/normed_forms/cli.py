@@ -32,15 +32,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from math import gcd, isqrt
+from math import gcd
 
-from .classify import (
-    Decision,
-    curve_sample,
-    full_classification,
-    order3_verdict,
+from .classify import full_classification, order3_verdict
+from .curve import curve_sample
+from .forms import (
+    Definiteness,
+    Form,
+    exact_sqrt,
+    principal_form,
+    reduced_forms,
+    semigroup_probe,
 )
-from .forms import Definiteness, Form, principal_form, reduced_forms, semigroup_probe
 from .pairings import Pairing, PlusParams, Quadruple, is_normed, type_of
 
 _HYPERBOLIC_COMMENT = "# hyperbolic parametrization: s = sinh, c = cosh"
@@ -207,11 +210,8 @@ def _positive_delta_forms(delta: int, box: int) -> list[tuple[int, int, int]]:
     found: set[tuple[int, int, int]] = set()
     for m in range(1, box + 1):
         for n in range(-box, box + 1):
-            square = delta + 4 * m * n
-            if square < 0:
-                continue
-            root = isqrt(square)
-            if root * root != square:
+            root = exact_sqrt(delta + 4 * m * n)
+            if root is None:
                 continue
             for k in {root, -root}:
                 if gcd(gcd(m, k), n) == 1:

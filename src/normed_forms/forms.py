@@ -16,6 +16,7 @@ import enum
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from math import gcd, isqrt
 
@@ -34,6 +35,43 @@ def mat_mul(a: Mat2, b: Mat2) -> Mat2:
 
 def mat_det(a: Mat2) -> int:
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+
+def is_scalar(a: Mat2) -> bool:
+    """Whether a is a multiple of the identity."""
+    return a[0][1] == 0 and a[1][0] == 0 and a[0][0] == a[1][1]
+
+
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def exact_sqrt(x: int | Fraction) -> int | Fraction | None:
+    """The nonnegative square root of an int or Fraction, or None if irrational."""
+    if x < 0:
+        return None
+    if isinstance(x, Fraction):
+        # a reduced fraction is a square iff numerator and denominator are
+        num, den = exact_sqrt(x.numerator), exact_sqrt(x.denominator)
+        return None if num is None or den is None else Fraction(num, den)
+    root = isqrt(x)
+    return root if root * root == x else None
+
+
+def floor_sqrt_ratio(p: int, q: int) -> int:
+    """floor(sqrt(p / q)) for p >= 0 < q, exactly."""
+    return isqrt(p * q) // q
 
 
 class DegenerateFormError(ValueError):
@@ -172,16 +210,14 @@ class Form:
         Indefinite and degenerate forms: bounded search over
         |x1|, |x2| <= box_bound; None only means "not found within the box".
         """
-        defin = self.definiteness()
-        if defin is Definiteness.NEGATIVE_DEFINITE:
-            return (-self).represent(-target, box_bound)
-        if defin is Definiteness.POSITIVE_DEFINITE:
+        disc = self.discriminant()
+        if disc < 0:  # definite; the sign of m says which way
+            if self.m < 0:
+                return (-self).represent(-target, box_bound)
             if target < 0:
                 return None
-            absd = -self.discriminant()
-            # floor(sqrt(4*coef*target/absd)) computed exactly
-            rows = range(-(isqrt(4 * self.m * target * absd) // absd), 1)
-            col_bound = isqrt(4 * self.n * target * absd) // absd
+            rows = range(-floor_sqrt_ratio(4 * self.m * target, -disc), 1)
+            col_bound = floor_sqrt_ratio(4 * self.n * target, -disc)
         else:
             rows, col_bound = range(-box_bound, 1), box_bound
         return next(_row_solutions(self, target, rows, col_bound), None)

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import forms as _forms
-from .forms import DegenerateFormError, Form
+from .forms import DegenerateFormError, Definiteness, Form, exact_sqrt, ext_gcd
 from .matembed import Sublattice
 
 Rational = int | Fraction
@@ -154,21 +154,6 @@ def sigma(k: int, z: QuadElem, w: QuadElem) -> QuadElem:
     raise ValueError("coupling index must be 1..4")
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _canonical_data(gens) -> tuple[Fraction, Fraction, Fraction]:
     """Canonical (r, u_zeta, v_zeta) of the Z-span of the given elements.
 
@@ -190,7 +175,7 @@ def _canonical_data(gens) -> tuple[Fraction, Fraction, Fraction]:
             cur = (a, b)
             continue
         a1, b1 = cur
-        g, s, t = _ext_gcd(b1, b)
+        g, s, t = ext_gcd(b1, b)
         # unimodular 2x2 change of basis: det [[s, t], [b/g, -b1/g]] = -1
         cur = (s * a1 + t * a, g)
         rationals.append((b // g) * a1 - (b1 // g) * a)
@@ -410,10 +395,9 @@ def order_lattice(ctx: Context, delta_star: int) -> Lattice:
     ratio = Fraction(ctx.delta, delta_star)
     if ratio <= 0:
         raise ValueError("context mismatch: discriminants of opposite sign")
-    sn, sd = isqrt(ratio.numerator), isqrt(ratio.denominator)
-    if sn * sn != ratio.numerator or sd * sd != ratio.denominator:
+    s = exact_sqrt(ratio)  # tau = s * tau_star
+    if s is None:
         raise ValueError("context mismatch: discriminant ratio is not a square")
-    s = Fraction(sn, sd)  # tau = s * tau_star
     if delta_star % 4 == 0:
         omega = ctx.elem(0, Fraction(1, 2) / s)
     else:
@@ -434,8 +418,6 @@ def embed_form(form: Form, height_bound: int = 10) -> Lattice | None:
     delta = form.discriminant()
     if delta == 0:
         raise DegenerateFormError("embedding requires a nondegenerate form")
-    from .forms import Definiteness
-
     if form.definiteness() is Definiteness.NEGATIVE_DEFINITE:
         # norms in the delta < 0 algebra are positive; no lattice exists
         return None
@@ -458,15 +440,6 @@ def embed_form(form: Form, height_bound: int = 10) -> Lattice | None:
     return None
 
 
-def _sqrt_fraction(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    sn, sd = isqrt(x.numerator), isqrt(x.denominator)
-    if sn * sn == x.numerator and sd * sd == x.denominator:
-        return Fraction(sn, sd)
-    return None
-
-
 def _solve_second_generator(
     ctx: Context, e1: QuadElem, k: int, n: int
 ) -> QuadElem | None:
@@ -486,7 +459,7 @@ def _solve_second_generator(
                 ys = []
         else:
             disc = qb * qb - 4 * qa * qc
-            root = _sqrt_fraction(disc)
+            root = exact_sqrt(disc)
             if root is None:
                 ys = []
             else:
@@ -498,7 +471,7 @@ def _solve_second_generator(
         # trace condition pins y; norm condition gives x^2
         y = Fraction(-k) / (2 * delta * v1)
         xx = n + delta * y * y
-        root = _sqrt_fraction(xx)
+        root = exact_sqrt(xx)
         if root is not None:
             for x in sorted({root, -root}):
                 candidates.append((y, x))

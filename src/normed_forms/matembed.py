@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .forms import Form, Mat2, Vec2, mat_det, mat_mul
+from .forms import Form, Mat2, Vec2, ext_gcd, is_scalar, mat_det, mat_mul
 from .pairings import (
     Pairing,
     PlusParams,
@@ -54,10 +55,6 @@ def matrix_pair(k: int, x: Mat2, y: Mat2) -> Mat2:
     raise ValueError("pairing index must be 1..4")
 
 
-def _is_scalar(a: Mat2) -> bool:
-    return a[0][1] == 0 and a[1][0] == 0 and a[0][0] == a[1][1]
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """The rank-2 matrix lattice with basis (A, rE), A non-scalar, r > 0."""
@@ -68,7 +65,7 @@ class Sublattice:
     def __post_init__(self) -> None:
         if self.r <= 0:
             raise ValueError("scalar generator r must be positive")
-        if _is_scalar(self.a):
+        if is_scalar(self.a):
             raise ValueError("A must not be a scalar matrix")
 
     def phi(self, v: Vec2) -> Mat2:
@@ -139,8 +136,6 @@ def canonicalize(gen1: Mat2, gen2: Mat2, k: int) -> Sublattice:
         (gen1[1][0], gen2[1][0]),
         (gen1[0][0] - gen1[1][1], gen2[0][0] - gen2[1][1]),
     ]
-    from math import gcd
-
     line: tuple[int, int] | None = None  # primitive direction, or None for all of Z^2
     for alpha, beta in constraints:
         if alpha == 0 and beta == 0:
@@ -159,7 +154,9 @@ def canonicalize(gen1: Mat2, gen2: Mat2, k: int) -> Sublattice:
     if lam == 0:
         raise ValueError("generators are linearly dependent")
     # complete (w1, w2) to a unimodular matrix: u1 w2 - u2 w1 = 1
-    u1, u2 = _complete_unimodular(w1, w2)
+    g, u1, u2 = ext_gcd(w2, -w1)
+    if g != 1:
+        raise ValueError("direction vector is not primitive")
     a = tuple(
         tuple(u1 * gen1[i][j] + u2 * gen2[i][j] for j in (0, 1)) for i in (0, 1)
     )
@@ -184,25 +181,6 @@ def canonicalize(gen1: Mat2, gen2: Mat2, k: int) -> Sublattice:
     return lat
 
 
-def _complete_unimodular(w1: int, w2: int) -> tuple[int, int]:
-    """Find (u1, u2) with u1 w2 - u2 w1 = 1 for coprime (w1, w2)."""
-    # extended gcd on (w2, -w1)
-    old_r, r = w2, -w1
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-        old_r = -old_r
-    if old_r != 1:
-        raise ValueError("direction vector is not primitive")
-    return old_s, old_t
-
-
 def induced_pairing(
     lat: Sublattice, k: int
 ) -> tuple[Pairing, Form, PlusParams | Quadruple]:
@@ -218,22 +196,14 @@ def induced_pairing(
     if not check_stability(lat, k):
         raise ValueError("sublattice is not stable under the requested pairing")
     r = lat.r
-    basis = ((1, 0), (0, 1))
-    rows1 = []
-    rows2 = []
-    for bi in basis:
-        row1 = []
-        row2 = []
-        for bj in basis:
-            image = matrix_pair(k, lat.phi(bi), lat.phi(bj))
-            coords = lat.coordinates(image)
-            if coords is None or coords[0].denominator != 1 or coords[1].denominator != 1:
-                raise ArithmeticError("stable sublattice produced non-integral coordinates")
-            row1.append(int(coords[0]))
-            row2.append(int(coords[1]))
-        rows1.append(tuple(row1))
-        rows2.append(tuple(row2))
-    pairing = Pairing((rows1[0], rows1[1]), (rows2[0], rows2[1]))
+
+    def coordinates(x: Vec2, y: Vec2) -> Vec2:
+        coords = lat.coordinates(matrix_pair(k, lat.phi(x), lat.phi(y)))
+        if coords is None or coords[0].denominator != 1 or coords[1].denominator != 1:
+            raise ArithmeticError("stable sublattice produced non-integral coordinates")
+        return int(coords[0]), int(coords[1])
+
+    pairing = Pairing.from_bilinear(coordinates)
     form = lat.det_form()
 
     det_a = mat_det(lat.a)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .forms import DegenerateFormError, Form, Mat2, Vec2
+from .forms import DegenerateFormError, Form, Mat2, Vec2, is_scalar, mat_mul
 
 
 class PairingType(NamedTuple):
@@ -100,6 +100,20 @@ class Pairing:
         return (
             (x1 * a + x2 * c) * y1 + (x1 * b + x2 * d) * y2,
             (x1 * e + x2 * g) * y1 + (x1 * f + x2 * h) * y2,
+        )
+
+    @classmethod
+    def from_bilinear(cls, fn) -> "Pairing":
+        """The pairing agreeing with the bilinear map fn: Z^2 x Z^2 -> Z^2.
+
+        Entry (i, j) of a1 and of a2 are the two components of fn(e_i, e_j)
+        on the standard basis, so any fn that is bilinear is reproduced.
+        """
+        basis = ((1, 0), (0, 1))
+        (z11, z12), (z21, z22) = [[fn(x, y) for y in basis] for x in basis]
+        return cls(
+            ((z11[0], z12[0]), (z21[0], z22[0])),
+            ((z11[1], z12[1]), (z21[1], z22[1])),
         )
 
     def __neg__(self) -> "Pairing":
@@ -286,25 +300,14 @@ def derive_form_minus_minus(pairing: Pairing) -> Form:
     coefficients of f.  Raises when any of the three products is not scalar.
     For commutative traceless pairings this returns the quadruple form.
     """
-
-    def _mul(p: Mat2, q: Mat2) -> Mat2:
-        return (
-            (p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]),
-            (p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]),
-        )
-
-    def _scalar_of(p: Mat2) -> int:
-        if p[0][1] != 0 or p[1][0] != 0 or p[0][0] != p[1][1]:
-            raise ValueError("double application of the pairing is not scalar")
-        return p[0][0]
-
     m1, m2 = pairing.operator_matrices()
-    sq1 = _mul(m1, m1)
-    sq2 = _mul(m2, m2)
-    anti = _mul(m1, m2)
-    anti2 = _mul(m2, m1)
+    anti = mat_mul(m1, m2)
+    anti2 = mat_mul(m2, m1)
     cross = (
         (anti[0][0] + anti2[0][0], anti[0][1] + anti2[0][1]),
         (anti[1][0] + anti2[1][0], anti[1][1] + anti2[1][1]),
     )
-    return Form(_scalar_of(sq1), _scalar_of(cross), _scalar_of(sq2))
+    products = (mat_mul(m1, m1), cross, mat_mul(m2, m2))
+    if not all(is_scalar(p) for p in products):
+        raise ValueError("double application of the pairing is not scalar")
+    return Form(*(p[0][0] for p in products))

@@ -17,7 +17,7 @@ the three plus-type families of make_plus.
 from __future__ import annotations
 
 from .forms import Form, Vec2
-from .pairings import Pairing, PlusParams, make_plus
+from .pairings import Pairing
 
 
 def bracket(form: Form, x: Vec2, y: Vec2, e: Vec2) -> Vec2:
@@ -101,40 +101,13 @@ def anchored_pairings(
     if r == 0:
         raise ValueError("anchor vector must have nonzero form value")
     f = Form(r * base.m, r * base.k, r * base.n)
-    basis = ((1, 0), (0, 1))
 
-    def entry(w: int) -> int:
-        if w % r:
+    def divided(w: Vec2) -> Vec2:
+        if w[0] % r or w[1] % r:
             raise ArithmeticError("anchored pairing entries must be divisible by r")
-        return w // r
+        return (w[0] // r, w[1] // r)
 
-    def build(component) -> Pairing:
-        rows1 = []
-        rows2 = []
-        for bi in basis:
-            row1 = []
-            row2 = []
-            for bj in basis:
-                z = component(bi, bj)
-                row1.append(entry(z[0]))
-                row2.append(entry(z[1]))
-            rows1.append(tuple(row1))
-            rows2.append(tuple(row2))
-        return Pairing((rows1[0], rows1[1]), (rows2[0], rows2[1]))
-
-    s1 = build(lambda x, y: bracket(f, x, y, e0))
-    s2 = build(lambda x, y: bracket(f, y, e0, x))
-    s3 = build(lambda x, y: bracket(f, x, e0, y))
+    s1 = Pairing.from_bilinear(lambda x, y: divided(bracket(f, x, y, e0)))
+    s2 = Pairing.from_bilinear(lambda x, y: divided(bracket(f, y, e0, x)))
+    s3 = Pairing.from_bilinear(lambda x, y: divided(bracket(f, x, e0, y)))
     return (s1, f), (s2, f), (s3, f)
-
-
-def anchored_match_plus(base: Form, e0: Vec2) -> bool:
-    """Check the anchored pairings equal the three plus families exactly."""
-    params = PlusParams(base.m, base.k, base.n, e0[0], e0[1])
-    got = anchored_pairings(base, e0)
-    for variant in (1, 2, 3):
-        expect_pairing, expect_form = make_plus(variant, params)
-        pairing, form = got[variant - 1]
-        if pairing != expect_pairing or form != expect_form:
-            return False
-    return True

@@ -6,7 +6,6 @@ import pytest
 
 from normed_forms import (
     Form,
-    anchored_match_plus,
     anchored_pairings,
     bracket,
     bracket_is_multiplicative,
@@ -17,6 +16,18 @@ from normed_forms import (
 
 coeff = st.integers(min_value=-20, max_value=20)
 vec = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+
+
+def anchored_match_plus(base, e0):
+    """Check the anchored pairings equal the three plus families exactly."""
+    params = PlusParams(base.m, base.k, base.n, e0[0], e0[1])
+    got = anchored_pairings(base, e0)
+    for variant in (1, 2, 3):
+        expect_pairing, expect_form = make_plus(variant, params)
+        pairing, form = got[variant - 1]
+        if pairing != expect_pairing or form != expect_form:
+            return False
+    return True
 
 
 def test_bracket_values():
