@@ -10,6 +10,8 @@ Five subcommands, all thin adapters over the library:
 
 Machine-readable output is JSON lines with every integer rendered as a
 decimal string (consumers never lose precision to doubles), keys sorted.
+Commands build records from plain library values; `_decimal` is the one
+place where integers become strings, for JSON and CSV alike.
 Output bytes are deterministic for fixed inputs and flags; wall-clock timing
 is only attached when --timing is passed, and never in catalog records.
 
@@ -34,7 +36,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
-from .classify import full_classification, order3_verdict
+from .classify import ClassificationReport, full_classification, order3_verdict
 from .curve import curve_sample
 from .forms import (
     Definiteness,
@@ -44,43 +46,29 @@ from .forms import (
     reduced_forms,
     semigroup_probe,
 )
-from .pairings import Pairing, PlusParams, Quadruple, is_normed, type_of
+from .pairings import Pairing, is_normed, type_of
 
 _HYPERBOLIC_COMMENT = "# hyperbolic parametrization: s = sinh, c = cosh"
 
 
-def _istr(value: int) -> str:
-    return str(int(value))
+def _decimal(value):
+    """value with every int, at any depth, as a decimal string.
 
-
-def _form_fields(form: Form) -> list[str]:
-    return [_istr(form.m), _istr(form.k), _istr(form.n)]
-
-
-def _mat_fields(mat) -> list[list[str]]:
-    return [[_istr(entry) for entry in row] for row in mat]
-
-
-def _params_fields(params: PlusParams | None):
-    if params is None:
-        return None
-    return {
-        "m": _istr(params.m),
-        "k": _istr(params.k),
-        "n": _istr(params.n),
-        "p": _istr(params.p),
-        "q": _istr(params.q),
-        "r": _istr(params.r),
-    }
-
-
-def _quad_fields(quad: Quadruple | None):
-    if quad is None:
-        return None
-    return [_istr(quad.a), _istr(quad.b), _istr(quad.c), _istr(quad.d)]
+    Bools, None and strings pass through; tuples become lists.
+    """
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _decimal(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_decimal(item) for item in value]
+    return value
 
 
 def _print_record(record: dict, elapsed_ms: float | None) -> None:
+    record = _decimal(record)
     if elapsed_ms is not None:
         record["elapsed_ms"] = round(elapsed_ms, 3)
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
@@ -89,6 +77,19 @@ def _print_record(record: dict, elapsed_ms: float | None) -> None:
 def _fail(message: str, code: int) -> int:
     sys.stderr.write(f"error: {message}\n")
     return code
+
+
+def _verdict_fields(report: ClassificationReport) -> dict:
+    """The classification fields shared by classify and catalog records."""
+    plus, quad = report.plus_params, report.minus_quadruple
+    return {
+        "definiteness": report.definiteness.value,
+        "plus_witness": None if plus is None else {**vars(plus), "r": plus.r},
+        "plus_decision": report.plus_decision.value,
+        "minus_witness": None if quad is None else (quad.a, quad.b, quad.c, quad.d),
+        "minus_decision": report.minus_decision.value,
+        "order3": None if quad is None else order3_verdict(quad).value,
+    }
 
 
 def cmd_form_info(args: argparse.Namespace) -> int:
@@ -100,12 +101,12 @@ def cmd_form_info(args: argparse.Namespace) -> int:
     content, primitive = form.content_and_primitive()
     record = {
         "command": "form-info",
-        "form": _form_fields(form),
-        "discriminant": _istr(form.discriminant()),
+        "form": form.coefficients(),
+        "discriminant": form.discriminant(),
         "definiteness": kind.value,
         "degenerate": kind is Definiteness.DEGENERATE,
-        "content": _istr(content),
-        "primitive_part": _form_fields(primitive),
+        "content": content,
+        "primitive_part": primitive.coefficients(),
         "is_primitive": form.is_primitive(),
         "is_reduced": None,
         "reduced": None,
@@ -117,9 +118,9 @@ def cmd_form_info(args: argparse.Namespace) -> int:
         reduced, transform = primitive.reduce()
         principal = principal_form(primitive.discriminant())
         record["is_reduced"] = form.is_reduced()
-        record["reduced"] = _form_fields(reduced)
-        record["reduction_transform"] = _mat_fields(transform)
-        record["principal_form"] = _form_fields(principal)
+        record["reduced"] = reduced.coefficients()
+        record["reduction_transform"] = transform
+        record["principal_form"] = principal.coefficients()
         record["is_principal_class"] = reduced == principal
     elapsed = (time.perf_counter() - start) * 1000
     _print_record(record, elapsed if args.timing else None)
@@ -132,19 +133,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return _fail("classification requires a nondegenerate form", 2)
     start = time.perf_counter()
     report = full_classification(form, box_bound=args.box)
-    order3 = None
-    if report.minus_quadruple is not None:
-        order3 = order3_verdict(report.minus_quadruple).value
     record = {
         "command": "classify",
-        "form": _form_fields(form),
-        "discriminant": _istr(form.discriminant()),
-        "definiteness": report.definiteness.value,
-        "plus_witness": _params_fields(report.plus_params),
-        "plus_decision": report.plus_decision.value,
-        "minus_witness": _quad_fields(report.minus_quadruple),
-        "minus_decision": report.minus_decision.value,
-        "order3": order3,
+        "form": form.coefficients(),
+        "discriminant": form.discriminant(),
+        **_verdict_fields(report),
     }
     elapsed = (time.perf_counter() - start) * 1000
     _print_record(record, elapsed if args.timing else None)
@@ -154,13 +147,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    form = Form(args.m, args.k, args.n)
-    if form.m * form.n == 0 or form.discriminant() == 0:
-        return _fail("the witness curve needs m*n != 0 and a nondegenerate form", 2)
-    if form.m < 0 or form.n < 0:
-        return _fail("the witness curve needs m > 0 and n > 0", 2)
+    # checked first: with no samples, curve_sample never validates the form
     if args.samples < 1:
         return _fail("--samples must be at least 1", 2)
+    form = Form(args.m, args.k, args.n)
     definite = form.definiteness() is Definiteness.POSITIVE_DEFINITE
     theta_max = args.theta_max
     if theta_max is None:
@@ -168,7 +158,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
     step = (theta_max - args.theta_min) / args.samples
     thetas = [args.theta_min + i * step for i in range(args.samples)]
     branch = 1 if args.branch == "plus" else -1
-    points = curve_sample(form, thetas, branch)
+    try:
+        points = curve_sample(form, thetas, branch)
+    except ValueError as exc:  # includes DegenerateFormError
+        return _fail(str(exc), 2)
     lines = []
     if not definite:
         lines.append(_HYPERBOLIC_COMMENT)
@@ -193,7 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         type_label = str(type_of(pairing, form))
     record = {
         "command": "verify",
-        "form": _form_fields(form),
+        "form": form.coefficients(),
         "normed": normed,
         "type": type_label,
         "commutative": pairing.is_commutative(),
@@ -237,25 +230,17 @@ def _catalog_record(task: tuple[int, tuple[int, int, int]]) -> dict:
     form = Form(*shape)
     report = full_classification(form)
     probe = semigroup_probe(form)
-    order3 = None
-    if report.minus_quadruple is not None:
-        order3 = order3_verdict(report.minus_quadruple).value
     closed = None
     if probe.decided:
         closed = not probe.has_counterexample
-    return {
-        "delta": _istr(delta),
-        "form": _form_fields(form),
-        "definiteness": report.definiteness.value,
-        "plus_witness": _params_fields(report.plus_params),
-        "plus_decision": report.plus_decision.value,
-        "minus_witness": _quad_fields(report.minus_quadruple),
-        "minus_decision": report.minus_decision.value,
-        "order3": order3,
+    return _decimal({
+        "delta": delta,
+        "form": form.coefficients(),
+        **_verdict_fields(report),
         "semigroup_decided": probe.decided,
-        "semigroup_counterexamples": _istr(probe.counterexample_count),
+        "semigroup_counterexamples": probe.counterexample_count,
         "semigroup_closed": closed,
-    }
+    })
 
 
 _CSV_COLUMNS = [
@@ -345,11 +330,29 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
         return 0
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_atomically(args.out, text)
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}", 4)
     return 0
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it onto path.
+
+    A failure leaves path as it was (never truncated) and removes the
+    temporary file.
+    """
+    temporary = f"{path}.{os.getpid()}.tmp"
+    handle = open(temporary, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

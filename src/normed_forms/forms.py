@@ -205,16 +205,15 @@ class Form:
         |x1| <= sqrt(4*n*target/|disc|), |x2| <= sqrt(4*m*target/|disc|).
         box_bound is ignored and None is a proof of non-representability.
 
-        Negative definite forms delegate to -f with -target (same witness).
+        Negative definite forms search the same ellipse; the kernel solves
+        -f = -target, which has the same solutions.
 
         Indefinite and degenerate forms: bounded search over
         |x1|, |x2| <= box_bound; None only means "not found within the box".
         """
         disc = self.discriminant()
-        if disc < 0:  # definite; the sign of m says which way
-            if self.m < 0:
-                return (-self).represent(-target, box_bound)
-            if target < 0:
+        if disc < 0:  # definite: f(v) has the sign of m
+            if self.m * target < 0:
                 return None
             rows = range(-floor_sqrt_ratio(4 * self.m * target, -disc), 1)
             col_bound = floor_sqrt_ratio(4 * self.n * target, -disc)

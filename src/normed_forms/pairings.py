@@ -274,22 +274,16 @@ def type_of(pairing: Pairing, form: Form) -> PairingType:
     target = form.coefficients()
     neg_target = (-form).coefficients()
 
-    d1 = _quadratic_coefficients(lambda v: left_map_det(pairing, v))
-    if d1 == target:
-        eps1 = 1
-    elif d1 == neg_target:
-        eps1 = -1
-    else:
-        raise ValueError("left determinant is not +/- the form; pairing not normed")
-
-    d2 = _quadratic_coefficients(lambda v: right_map_det(pairing, v))
-    if d2 == target:
-        eps2 = 1
-    elif d2 == neg_target:
-        eps2 = -1
-    else:
-        raise ValueError("right determinant is not +/- the form; pairing not normed")
-    return PairingType(eps1, eps2)
+    signs = []
+    for side, map_det in (("left", left_map_det), ("right", right_map_det)):
+        det = _quadratic_coefficients(lambda v: map_det(pairing, v))
+        if det == target:
+            signs.append(1)
+        elif det == neg_target:
+            signs.append(-1)
+        else:
+            raise ValueError(f"{side} determinant is not +/- the form; pairing not normed")
+    return PairingType(*signs)
 
 
 def derive_form_minus_minus(pairing: Pairing) -> Form:

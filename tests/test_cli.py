@@ -1,5 +1,6 @@
 """Tests for the command line interface: records, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import os
 import pytest
 
 from normed_forms import Form, PlusParams, Quadruple, full_classification
-from normed_forms.cli import _worker_count, main
+from normed_forms.cli import _decimal, _worker_count, main
 
 
 def run(capsys, argv):
@@ -158,11 +159,15 @@ def test_curve_minus_branch(capsys):
 
 
 def test_curve_rejects_zero_sides(capsys):
-    """m n = 0 or degenerate forms exit 2."""
+    """m n = 0, a negative side, a degenerate form or no samples exits 2."""
     code, _, err = run(capsys, ["curve", "0", "1", "5"])
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, ["curve", "1", "2", "1"])
     assert code == 2
+    for argv in (["-1", "0", "-3"], ["2", "1", "-3"], ["4", "2", "6", "--samples", "-1"]):
+        code, out, err = run(capsys, ["curve", *argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 def test_verify_accepts_witness(capsys):
@@ -302,3 +307,90 @@ def test_catalog_positive_window(capsys):
         assert k * k - 4 * m * n == int(r["delta"])
         assert 1 <= m <= 6 and abs(n) <= 6
         assert math.gcd(math.gcd(m, k), n) == 1
+
+
+def test_catalog_out_missing_directory(capsys, tmp_path):
+    """An unwritable --out exits 4 and creates nothing."""
+    target = tmp_path / "missing" / "window.jsonl"
+    code, out, err = run(capsys, ["catalog", "--dmin", "-23", "--dmax", "-23",
+                                  "--out", str(target)])
+    assert code == 4 and out == ""
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_catalog_out_failed_replace_keeps_target(capsys, monkeypatch, tmp_path):
+    """A failure while replacing --out leaves the old file and no temporary."""
+    target = tmp_path / "window.jsonl"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, _, err = run(capsys, ["catalog", "--dmin", "-23", "--dmax", "-23",
+                                "--out", str(target)])
+    assert code == 4 and "replace refused" in err
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+# exact stdout covering every record shape (form, matrix, plus parameters,
+# quadruple, bools, nulls), so any change to serialization shows byte for byte
+STDOUT_PINS = {
+    ("classify", "4", "2", "6"):
+        '{"command": "classify", "definiteness": "positive_definite", '
+        '"discriminant": "-92", "form": ["4", "2", "6"], "minus_decision": "decided", '
+        '"minus_witness": null, "order3": null, "plus_decision": "decided", '
+        '"plus_witness": {"k": "1", "m": "2", "n": "3", "p": "-1", "q": "0", "r": "2"}}\n',
+    ("classify", "2", "1", "3"):
+        '{"command": "classify", "definiteness": "positive_definite", '
+        '"discriminant": "-23", "form": ["2", "1", "3"], "minus_decision": "decided", '
+        '"minus_witness": ["-1", "2", "1", "-1"], "order3": "order-3", '
+        '"plus_decision": "decided", "plus_witness": null}\n',
+    ("form-info", "4", "2", "6"):
+        '{"command": "form-info", "content": "2", "definiteness": "positive_definite", '
+        '"degenerate": false, "discriminant": "-92", "form": ["4", "2", "6"], '
+        '"is_primitive": false, "is_principal_class": false, "is_reduced": true, '
+        '"primitive_part": ["2", "1", "3"], "principal_form": ["1", "1", "6"], '
+        '"reduced": ["2", "1", "3"], "reduction_transform": [["1", "0"], ["0", "1"]]}\n',
+    ("verify", "1", "-1", "-1", "-2", "-1", "-1", "-1", "1", "2", "1", "3"):
+        '{"command": "verify", "commutative": true, "form": ["2", "1", "3"], '
+        '"normed": true, "traceless": true, "type": "(-,-)"}\n',
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_PINS))
+def test_record_stdout_pinned(capsys, argv):
+    """Single-record commands print exactly the recorded bytes."""
+    _, out, _ = run(capsys, list(argv))
+    assert out == STDOUT_PINS[argv]
+
+
+CATALOG_SHA1 = {
+    ("--dmin", "-60", "--dmax", "-3"): "c5129fbcbcaf27579f7e2921041255e348690289",
+    ("--dmin", "5", "--dmax", "5", "--box", "3"): "ffd4815dd831c92a6fa14fe67c33a4bae7aa41e7",
+    ("--dmin", "-100", "--dmax", "-3", "--format", "csv"):
+        "49b67361fc6ed8df79c7b0997569146629382523",
+    ("--dmin", "5", "--dmax", "12", "--box", "4", "--format", "csv"):
+        "5375533ea2eac8110bf8a6bff7c8869c6e613aa6",
+}
+
+
+@pytest.mark.parametrize("window", sorted(CATALOG_SHA1))
+def test_catalog_bytes_pinned(capsys, window):
+    """JSON-lines and CSV catalog windows keep their recorded SHA-1."""
+    code, out, _ = run(capsys, ["catalog", *window])
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == CATALOG_SHA1[window]
+
+
+def test_decimal_renders_only_ints():
+    """Ints at any depth become decimal strings; nothing else changes."""
+    value = {"b": True, "f": False, "none": None, "s": "x", "big": -10**40,
+             "nested": ((1, -2), [3, {"k": 0}])}
+    assert _decimal(value) == {
+        "b": True, "f": False, "none": None, "s": "x",
+        "big": "-10000000000000000000000000000000000000000",
+        "nested": [["1", "-2"], ["3", {"k": "0"}]],
+    }
