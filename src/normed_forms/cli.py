@@ -20,9 +20,10 @@ Exit codes: 0 success, 1 verification negative, 2 input error,
 
 The catalog command can fan classification out across processes; set
 NORMED_FORMS_THREADS to a worker count (clamped to the CPU count).  Records
-are buffered and emitted in canonical order (ascending discriminant, then
-enumeration order of the reduced forms), so the worker count never changes
-the output.
+are written to stdout one by one as they are computed, in canonical order
+(ascending discriminant, then enumeration order of the reduced forms), so the
+worker count never changes the output; --out collects the whole catalog and
+replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from math import gcd
 
 from .classify import ClassificationReport, full_classification, order3_verdict
@@ -305,6 +308,17 @@ def _worker_count() -> int:
     return max(min(count, os.cpu_count() or 1), 1)
 
 
+def _catalog_records(tasks: list[tuple[int, tuple[int, int, int]]]) -> Iterator[dict]:
+    """The record of each task, yielded in task order as it is computed."""
+    workers = _worker_count()
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(len(tasks) // (4 * workers), 1)
+            yield from pool.map(_catalog_record, tasks, chunksize=chunk)
+    else:
+        yield from map(_catalog_record, tasks)
+
+
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.dmin > args.dmax:
         return _fail("--dmin must not exceed --dmax", 2)
@@ -312,23 +326,17 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return _fail("range must be entirely negative or entirely positive", 2)
     if args.dmin > 0 and args.box < 1:
         return _fail("a positive range needs --box >= 1", 2)
-    tasks = _catalog_tasks(args.dmin, args.dmax, args.box)
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(len(tasks) // (4 * workers), 1)
-            records = list(pool.map(_catalog_record, tasks, chunksize=chunk))
-    else:
-        records = [_catalog_record(task) for task in tasks]
+    records = _catalog_records(_catalog_tasks(args.dmin, args.dmax, args.box))
     if args.format == "jsonl":
-        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        lines = (json.dumps(r, sort_keys=True) + "\n" for r in records)
     else:
-        lines = [",".join(_CSV_COLUMNS)]
-        lines.extend(_record_to_csv(r) for r in records)
-        text = "\n".join(lines) + "\n"
+        rows = (_record_to_csv(r) + "\n" for r in records)
+        lines = chain([",".join(_CSV_COLUMNS) + "\n"], rows)
     if args.out is None:
-        sys.stdout.write(text)
+        for line in lines:
+            sys.stdout.write(line)
         return 0
+    text = "".join(lines)
     try:
         _write_atomically(args.out, text)
     except OSError as exc:

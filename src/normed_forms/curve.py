@@ -58,12 +58,18 @@ def _curve_context(form: Form):
     m, k, n = form.coefficients()
     if m <= 0 or n <= 0:
         raise ValueError("the witness curve needs m > 0 and n > 0")
+    try:
+        ratio = k / math.sqrt(4 * m * n)
+    except OverflowError:
+        raise ValueError(
+            "the coefficients are too large for the floating-point witness curve"
+        ) from None
     if kind is Definiteness.POSITIVE_DEFINITE:
-        phase = math.acos(k / math.sqrt(4 * m * n))
+        phase = math.acos(ratio)
         if k < 0:
             phase = -phase
         return phase, math.sin, math.cos, 1
-    phase = math.acosh(abs(k) / math.sqrt(4 * m * n))
+    phase = math.acosh(abs(ratio))
     if k < 0:
         phase = -phase
     return phase, math.sinh, math.cosh, -1
@@ -130,6 +136,11 @@ def curve_sample(form: Form, thetas, branch: int = 1) -> list[CurvePoint]:
     """Evaluate the witness curve at the given parameter values."""
     points = []
     for theta in thetas:
-        a, b, c, d = curve_quadruple(form, theta, branch)
+        try:
+            a, b, c, d = curve_quadruple(form, theta, branch)
+        except OverflowError:
+            raise ValueError(
+                f"the witness curve leaves the floating-point range at theta = {theta}"
+            ) from None
         points.append(CurvePoint(theta=float(theta), a=a, b=b, c=c, d=d))
     return points

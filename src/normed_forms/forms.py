@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 Vec2 = tuple[int, int]
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -215,11 +215,19 @@ class Form:
         if disc < 0:  # definite: f(v) has the sign of m
             if self.m * target < 0:
                 return None
-            rows = range(-floor_sqrt_ratio(4 * self.m * target, -disc), 1)
-            col_bound = floor_sqrt_ratio(4 * self.n * target, -disc)
+            rows, col_bound = _ellipse_bounds(self, disc, target)
         else:
             rows, col_bound = range(-box_bound, 1), box_bound
         return next(_row_solutions(self, target, rows, col_bound), None)
+
+
+def _ellipse_bounds(form: Form, disc: int, target: int) -> tuple[range, int]:
+    """The rows x2 <= 0 and the column bound |x1| of the ellipse form = target.
+
+    For a definite form of discriminant disc with m*target >= 0.
+    """
+    rows = range(-floor_sqrt_ratio(4 * form.m * target, -disc), 1)
+    return rows, floor_sqrt_ratio(4 * form.n * target, -disc)
 
 
 def _row_solutions(form: Form, target: int, rows: range, col_bound: int) -> Iterator[Vec2]:
@@ -287,20 +295,48 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     counterexample pair is a proof that the form lacks the semigroup
     property; for indefinite forms the report is advisory only (decided is
     False).
+
+    Most products that are not values are rejected without a search, by one
+    genus character per odd prime p | D (D the discriminant).  If p does not
+    divide m, then 4m*f(x) = (2m*x1 + k*x2)^2 - D*x2^2, so f(x) = t with p not
+    dividing t forces (t/p) = (m/p); if p | m but not n, the same follows
+    from 4n*f(x) = (k*x1 + 2n*x2)^2 - D*x1^2 with n in place of m.  A product
+    t = u*v of two values with p not dividing t then has
+    (t/p) = (m/p)^2 = 1, so when (m/p) = -1 it is not a value of f anywhere
+    on Z^2, definite or not.  With P the product of such primes (see
+    _nonresidue_primes), t % P != 0 proves that t is not representable, so a
+    box search can never disagree.  Any subset of these primes is sound, so
+    the trial division of D stops at the number of rows one search of the
+    largest product would visit.
     """
-    if form.discriminant() == 0:
+    disc = form.discriminant()
+    if disc == 0:
         raise DegenerateFormError("semigroup probe requires a nondegenerate form")
     side = range(-sample_bound, sample_bound + 1)
     values = {(x1, x2): form((x1, x2)) for x1 in side for x2 in side}
     # f(x)f(y) depends only on the two values, so each unordered pair of
     # distinct values is tested once and stands for mult*mult ordered pairs
     mult = Counter(values.values())
+    if disc < 0:
+        # products of two values are >= 0; the largest m*t takes the most rows
+        top = max(mult, key=lambda u: form.m * u * u, default=0)
+        cap = len(_ellipse_bounds(form, disc, top * top)[0])
+    else:
+        cap = search_bound + 1
+    modulus = prod(_nonresidue_primes(form, disc, cap))
     representable: dict[int, bool] = {}
     count = 0
     for u, v in combinations_with_replacement(mult, 2):
         t = u * v
         if t not in representable:
-            representable[t] = form.represent(t, search_bound) is not None
+            if t % modulus:
+                representable[t] = False
+            elif disc < 0:
+                representable[t] = form.m * t >= 0 and next(
+                    _row_solutions(form, t, *_ellipse_bounds(form, disc, t)), None
+                ) is not None
+            else:
+                representable[t] = form.represent(t, search_bound) is not None
         if not representable[t]:
             count += mult[u] * mult[v] * (1 if u == v else 2)
     misses = ((x, y) for x in values for y in values
@@ -314,8 +350,33 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
         products_checked=len(representable),
         counterexample_count=count,
         counterexamples=recorded,
-        decided=form.discriminant() < 0,
+        decided=disc < 0,
     )
+
+
+def _nonresidue_primes(form: Form, disc: int, cap: int) -> list[int]:
+    """The odd primes p | disc with (a/p) = -1, where a is m, or n when p | m.
+
+    Primes dividing both m and n are never returned.  Trial division stops
+    once p exceeds cap; a cofactor left then is not known to be prime and is
+    dropped, so primes of disc above cap may be missing, never wrong.
+    """
+    rest = abs(disc)
+    while rest % 2 == 0:
+        rest //= 2
+    odd_primes = []
+    p = 3
+    while p * p <= rest and p <= cap:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            odd_primes.append(p)
+        p += 2
+    if 1 < rest < p * p:  # no odd factor below sqrt(rest): rest is prime
+        odd_primes.append(rest)
+    # Euler's criterion; a prime dividing both m and n gives 0, not p - 1
+    return [p for p in odd_primes
+            if pow(form.m if form.m % p else form.n, (p - 1) // 2, p) == p - 1]
 
 
 def principal_form(delta: int) -> Form:

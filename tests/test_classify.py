@@ -224,13 +224,20 @@ def test_curve_minus_branch_negates():
 
 
 def test_curve_rejects_unusable_forms():
-    """m > 0, n > 0 and nondegeneracy are required."""
+    """m > 0, n > 0, nondegeneracy and floating-point range are required."""
     with pytest.raises(ValueError):
         curve_sample(Form(0, 1, 5), [0.0])
     with pytest.raises(ValueError):
         curve_sample(Form(-1, 0, -1), [0.0])
     with pytest.raises(DegenerateFormError):
         curve_sample(Form(1, 2, 1), [0.0])
+    for form in (Form(1, 0, 10**400), Form(1, 10**400, 1)):
+        with pytest.raises(ValueError, match="too large"):
+            curve_phase(form)
+        with pytest.raises(ValueError, match="too large"):
+            curve_embedding(form, 0.0)
+    with pytest.raises(ValueError, match="floating-point range"):
+        curve_sample(Form(1, 3, 1), [1000.0])
 
 
 @given(

@@ -1,13 +1,15 @@
 """Tests for the command line interface: records, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import math
 import os
+import sys
 
 import pytest
 
-from normed_forms import Form, PlusParams, Quadruple, full_classification
+from normed_forms import Form, PlusParams, Quadruple, cli, full_classification
 from normed_forms.cli import _decimal, _worker_count, main
 
 
@@ -159,12 +161,15 @@ def test_curve_minus_branch(capsys):
 
 
 def test_curve_rejects_zero_sides(capsys):
-    """m n = 0, a negative side, a degenerate form or no samples exits 2."""
+    """m n = 0, a negative side, a degenerate form, no samples or
+    coefficients beyond floating point exit 2."""
     code, _, err = run(capsys, ["curve", "0", "1", "5"])
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, ["curve", "1", "2", "1"])
     assert code == 2
-    for argv in (["-1", "0", "-3"], ["2", "1", "-3"], ["4", "2", "6", "--samples", "-1"]):
+    huge = str(10**400)
+    for argv in (["-1", "0", "-3"], ["2", "1", "-3"], ["4", "2", "6", "--samples", "-1"],
+                 ["1", "0", huge], ["1", huge, "1"], ["1", str(10**300), "1"]):
         code, out, err = run(capsys, ["curve", *argv])
         assert code == 2 and out == ""
         assert err.startswith("error:")
@@ -248,6 +253,24 @@ def test_catalog_deterministic_across_workers(capsys, monkeypatch, tmp_path):
     code, stdout, _ = run(capsys, args + ["--out", str(out_path)])
     assert code == 0 and stdout == ""
     assert out_path.read_text() == first
+
+
+def test_catalog_streams_records(monkeypatch):
+    """Each record reaches stdout before the next task is computed."""
+    tasks = cli._catalog_tasks(-30, -20, 12)
+    out = io.StringIO()
+    written_before = []
+    compute = cli._catalog_record
+
+    def record(task):
+        written_before.append(out.getvalue().count("\n"))
+        return compute(task)
+
+    monkeypatch.setattr(cli, "_catalog_record", record)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["catalog", "--dmin", "-30", "--dmax", "-20"]) == 0
+    assert written_before == list(range(len(tasks)))
+    assert out.getvalue().count("\n") == len(tasks)
 
 
 def test_worker_count_is_clamped(monkeypatch):
@@ -369,6 +392,8 @@ def test_record_stdout_pinned(capsys, argv):
 
 CATALOG_SHA1 = {
     ("--dmin", "-60", "--dmax", "-3"): "c5129fbcbcaf27579f7e2921041255e348690289",
+    ("--dmin", "-400", "--dmax", "-3"): "3f5d134a69cb8cec57e8e3eca3e1c06e656867d2",
+    ("--dmin", "5", "--dmax", "24", "--box", "8"): "f402ed64160912ea57bdeb27528b916b2dc46c65",
     ("--dmin", "5", "--dmax", "5", "--box", "3"): "ffd4815dd831c92a6fa14fe67c33a4bae7aa41e7",
     ("--dmin", "-100", "--dmax", "-3", "--format", "csv"):
         "49b67361fc6ed8df79c7b0997569146629382523",

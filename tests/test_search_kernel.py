@@ -3,20 +3,25 @@
 The brute-force O(B^2) scans that the kernel replaced live on here, and only
 here, as oracles: the indefinite double loop of Form.represent, the (a, c)
 double loop of the minus-minus scan, and the pair-by-pair semigroup probe.
+The genus-character filter of the probe is checked against brute force too.
 """
 
 import time
 
+from itertools import product
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normed_forms import Definiteness, Form, Quadruple, semigroup_probe
+from normed_forms import Definiteness, Form, Quadruple, reduced_forms, semigroup_probe
 from normed_forms.classify import _scan_quadruples, minus_minus_bounds, minus_minus_witnesses
-from normed_forms.forms import SemigroupReport, _row_solutions
+from normed_forms.forms import SemigroupReport, _nonresidue_primes, _row_solutions
 
 small = st.integers(min_value=-6, max_value=6)
 forms = st.builds(Form, small, small, small)
 nondegenerate = forms.filter(lambda f: f.discriminant() != 0)
+wide = st.integers(min_value=-30, max_value=30)
+wide_nondegenerate = st.builds(Form, wide, wide, wide).filter(lambda f: f.discriminant() != 0)
 boxes = st.integers(min_value=0, max_value=7)
 
 
@@ -196,6 +201,7 @@ def test_scan_matches_oracle_on_derived_forms(entries, box):
 @example(Form(2, 0, 3), 2, 100, 1)
 @example(Form(1, 0, -2), 2, 3, 1)
 @example(Form(0, 1, 0), 1, 0, 20)
+@example(Form(2, 1, 3), -1, 100, 20)
 def test_probe_matches_oracle(form, sample_bound, search_bound, max_recorded):
     """Every report field agrees with the pair-by-pair probe."""
     assert semigroup_probe(form, sample_bound, search_bound, max_recorded) == probe_oracle(
@@ -212,4 +218,72 @@ def test_large_definite_witness_search_budget():
         hits, _ = minus_minus_witnesses(form)
         best = min(best, time.perf_counter() - start)
     assert hits == []
+    assert best < 0.05
+
+
+def nonresidue_oracle(form: Form):
+    """The odd primes p | D with a non-square a mod p, a = m, or n when p | m,
+    by trial division and by listing the squares mod p."""
+    d = abs(form.discriminant())
+    found = []
+    for p in range(3, d + 1, 2):
+        if d % p or any(p % q == 0 for q in range(3, p, 2)):
+            continue
+        a = form.m if form.m % p else form.n
+        if a % p and all((x * x - a) % p for x in range(p)):
+            found.append(p)
+    return found
+
+
+@given(wide_nondegenerate,
+       st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=1, max_size=5),
+       st.integers(0, 40))
+@settings(max_examples=300)
+@example(Form(2, 0, 3), [(1, 0), (0, 1)], 0)
+@example(Form(0, 3, 5), [(1, 1), (0, 1)], 0)
+@example(Form(-1, 0, -3), [(1, 0), (1, 1)], 0)
+@example(Form(2, 0, -3), [(1, 0), (0, 1), (1, 1)], 0)
+@example(Form(4, 0, 6), [(1, 0), (0, 1)], 0)
+@example(Form(10, 10, 10), [(1, 0), (1, 1)], 0)
+@example(Form(10, 6, 10), [(1, 0)], 3)  # cap 3 leaves the composite 91 = 7 * 13
+def test_nonresidue_products_are_never_values(form, points, cap):
+    """For each prime the helper returns, a product of two values that the
+    prime does not divide is found by no search.  A cap only drops primes."""
+    disc = form.discriminant()
+    primes = _nonresidue_primes(form, disc, abs(disc))
+    assert primes == nonresidue_oracle(form)
+    assert set(_nonresidue_primes(form, disc, cap)) <= set(primes)
+    box = range(-6, 7)
+    box_values = {form((x1, x2)) for x1 in box for x2 in box}
+    for p in primes:
+        for x, y in product(points, repeat=2):
+            t = form(x) * form(y)
+            if t % p:
+                assert t not in box_values
+                assert form.represent(t, 6) is None
+                assert represent_oracle(form, t, 6) is None
+
+
+def test_probe_matches_oracle_on_reduced_forms():
+    """Every reduced form with -200 <= D <= -3, at the default bounds."""
+    checked = 0
+    for delta in range(-200, -2):
+        if delta % 4 not in (0, 1):
+            continue
+        for form in reduced_forms(delta):
+            assert semigroup_probe(form) == probe_oracle(form, 3, 100, 20)
+            checked += 1
+    assert checked == 387
+
+
+def test_nonresidue_prime_search_is_capped():
+    """Trial division stops at the cap: D = -4p with p = 999999999989 prime
+    would take half a million divisions to factor."""
+    form = Form(1, 0, 999_999_999_989)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        primes = _nonresidue_primes(form, form.discriminant(), 1000)
+        best = min(best, time.perf_counter() - start)
+    assert primes == []
     assert best < 0.05
