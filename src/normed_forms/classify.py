@@ -81,6 +81,15 @@ class ClassificationReport:
             and self.minus_decision is Decision.DECIDED
         )
 
+    @property
+    def has_witness(self) -> bool:
+        """Whether a plus or minus-minus witness proves the semigroup property.
+
+        Proof: the witness's pairing s is normed, so for all x, y in Z^2 the
+        integer vector s(x, y) has f(s(x, y)) = f(x) f(y), a value of f.
+        """
+        return self.plus_params is not None or self.minus_quadruple is not None
+
 
 def minus_minus_bounds(form: Form) -> tuple[int, int, int, int]:
     """Exact per-coordinate bounds on minus-minus witnesses (definite only)."""

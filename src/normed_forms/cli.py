@@ -24,6 +24,12 @@ are written to stdout one by one as they are computed, in canonical order
 (ascending discriminant, then enumeration order of the reduced forms), so the
 worker count never changes the output; --out collects the whole catalog and
 replaces the file atomically.
+
+The catalog's semigroup_* fields: a positive definite form with a plus or
+minus-minus witness is closed by proof (ClassificationReport.has_witness) and
+is not probed.  Without a witness, semigroup_probe counts the counterexamples
+on its 7x7 sample exactly, and each one proves that the form is not closed.
+For indefinite forms the fields stay advisory (decided false, closed null).
 """
 
 from __future__ import annotations
@@ -131,6 +137,8 @@ def cmd_form_info(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.box < 0:
+        return _fail("--box must not be negative", 2)
     form = Form(args.m, args.k, args.n)
     if form.discriminant() == 0:
         return _fail("classification requires a nondegenerate form", 2)
@@ -159,6 +167,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if theta_max is None:
         theta_max = 2 * math.pi if definite else 2.0
     step = (theta_max - args.theta_min) / args.samples
+    # not finite when either end is nan or infinite, or their gap overflows
+    if not math.isfinite(step):
+        return _fail("the theta window must be finite", 2)
     thetas = [args.theta_min + i * step for i in range(args.samples)]
     branch = 1 if args.branch == "plus" else -1
     try:
@@ -232,17 +243,20 @@ def _catalog_record(task: tuple[int, tuple[int, int, int]]) -> dict:
     delta, shape = task
     form = Form(*shape)
     report = full_classification(form)
-    probe = semigroup_probe(form)
-    closed = None
-    if probe.decided:
-        closed = not probe.has_counterexample
+    # a witness proves closure (ClassificationReport.has_witness); indefinite
+    # records keep the advisory probe, whose fields the pinned windows fix
+    if report.has_witness and report.definiteness is Definiteness.POSITIVE_DEFINITE:
+        decided, count = True, 0
+    else:
+        probe = semigroup_probe(form)
+        decided, count = probe.decided, probe.counterexample_count
     return _decimal({
         "delta": delta,
         "form": form.coefficients(),
         **_verdict_fields(report),
-        "semigroup_decided": probe.decided,
-        "semigroup_counterexamples": probe.counterexample_count,
-        "semigroup_closed": closed,
+        "semigroup_decided": decided,
+        "semigroup_counterexamples": count,
+        "semigroup_closed": count == 0 if decided else None,
     })
 
 

@@ -280,10 +280,6 @@ class SemigroupReport:
     counterexamples: tuple[tuple[Vec2, Vec2], ...]
     decided: bool
 
-    @property
-    def has_counterexample(self) -> bool:
-        return self.counterexample_count > 0
-
 
 def semigroup_probe(form: Form, sample_bound: int = 3,
                     search_bound: int = 100,

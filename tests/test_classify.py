@@ -1,6 +1,8 @@
 """Tests for the realizability searches and the real witness curve."""
 
 import math
+from fractions import Fraction
+from functools import cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,11 @@ import pytest
 
 from normed_forms import (
     TYPE_MM,
+    Context,
     Decision,
     DegenerateFormError,
     Form,
+    Lattice,
     Order3Verdict,
     PLUS_VARIANT_TYPES,
     PlusParams,
@@ -27,8 +31,10 @@ from normed_forms import (
     minus_minus_bounds,
     minus_minus_witnesses,
     order3_verdict,
+    reduced_forms,
     search_minus_minus,
     search_plus,
+    semigroup_probe,
     type_of,
 )
 
@@ -316,3 +322,59 @@ def test_triple_angle_identities():
         d_expected = (f.m / math.sqrt(f.n)) * math.sin(3 * theta) * scale
         assert close(pt.b, b_expected, 1e-7)
         assert close(pt.d, d_expected, 1e-7)
+
+
+def test_has_witness_reads_either_search():
+    """A plus or a minus-minus witness counts; negative definite never has one."""
+    assert full_classification(Form(4, 2, 6)).has_witness  # plus only
+    assert full_classification(Form(2, 1, 3)).has_witness  # minus-minus only
+    assert not full_classification(Form(2, 1, 6)).has_witness
+    assert not full_classification(Form(-1, 0, -1)).has_witness
+
+
+@cache
+def _negative_window():
+    """(report, probe counterexample count) for each reduced form, -400..-3."""
+    census = []
+    for delta in range(-400, -2):
+        if delta % 4 in (0, 1):
+            for form in reduced_forms(delta):
+                report = full_classification(form)
+                census.append((report, semigroup_probe(form).counterexample_count))
+    return census
+
+
+def test_window_witness_pairings_are_normed():
+    """Every witness on -400..-3 builds a normed pairing of its own form,
+    the certificate catalog uses instead of the probe."""
+    witnessed = 0
+    for report, _ in _negative_window():
+        if report.minus_quadruple is not None:
+            pairing, form = make_minus_minus(report.minus_quadruple)
+            assert form == report.form and is_normed(pairing, form)
+        if report.plus_params is not None:
+            pairing, form = make_plus(1, report.plus_params)
+            assert form == report.form and is_normed(pairing, form)
+        witnessed += report.has_witness
+    assert (len(_negative_window()), witnessed) == (1108, 308)
+
+
+def test_window_probe_agrees_with_witness():
+    """The probe, kept as the oracle for the records catalog skips, finds no
+    counterexample where a witness exists, and one wherever none exists:
+    no form of -400..-3 is closed on the sample without a certificate."""
+    for report, count in _negative_window():
+        assert (count == 0) == report.has_witness, report.form
+
+
+def test_window_order3_coincidence():
+    """On -400..-3 three properties coincide: a minus-minus witness, a
+    principal cube of the form's ideal span(m, (-k + tau)/2), and no probe
+    counterexample.  This is evidence on a finite window, not a theorem."""
+    for report, count in _negative_window():
+        m, k, _ = report.form.coefficients()
+        ctx = Context(report.form.discriminant())
+        ideal = Lattice(ctx, ctx.elem(m), ctx.elem(Fraction(-k, 2), Fraction(1, 2)))
+        cube_principal = ideal.cube_is_principal()
+        assert (report.minus_quadruple is not None) == cube_principal, report.form
+        assert cube_principal == (count == 0), report.form

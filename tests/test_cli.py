@@ -161,15 +161,18 @@ def test_curve_minus_branch(capsys):
 
 
 def test_curve_rejects_zero_sides(capsys):
-    """m n = 0, a negative side, a degenerate form, no samples or
-    coefficients beyond floating point exit 2."""
+    """m n = 0, a negative side, a degenerate form, no samples, coefficients
+    beyond floating point or a non-finite theta window exit 2."""
     code, _, err = run(capsys, ["curve", "0", "1", "5"])
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, ["curve", "1", "2", "1"])
     assert code == 2
     huge = str(10**400)
     for argv in (["-1", "0", "-3"], ["2", "1", "-3"], ["4", "2", "6", "--samples", "-1"],
-                 ["1", "0", huge], ["1", huge, "1"], ["1", str(10**300), "1"]):
+                 ["1", "0", huge], ["1", huge, "1"], ["1", str(10**300), "1"],
+                 ["1", "0", "1", "--theta-max", "nan"], ["1", "0", "1", "--theta-max", "inf"],
+                 ["1", "0", "1", "--theta-min=-inf"],
+                 ["1", "0", "1", "--theta-min", "1e308", "--theta-max=-1e308"]):
         code, out, err = run(capsys, ["curve", *argv])
         assert code == 2 and out == ""
         assert err.startswith("error:")
@@ -205,7 +208,7 @@ def test_verify_rejects_non_normed(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    """argparse failures keep the conventional exit code."""
+    """argparse failures and a negative --box keep the conventional exit code."""
     with pytest.raises(SystemExit) as info:
         main(["classify", "2", "1"])
     assert info.value.code == 2
@@ -214,6 +217,9 @@ def test_usage_errors_exit_two(capsys):
         main(["curve", "4", "2", "6", "--branch", "sideways"])
     assert info.value.code == 2
     capsys.readouterr()
+    code, out, err = run(capsys, ["classify", "1", "3", "1", "--box", "-5"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_catalog_jsonl_window(capsys):
@@ -271,6 +277,37 @@ def test_catalog_streams_records(monkeypatch):
     assert main(["catalog", "--dmin", "-30", "--dmax", "-20"]) == 0
     assert written_before == list(range(len(tasks)))
     assert out.getvalue().count("\n") == len(tasks)
+
+
+@pytest.mark.parametrize("window, all_probed", [
+    (["--dmin", "-60", "--dmax", "-3"], False),
+    (["--dmin", "5", "--dmax", "8", "--box", "6"], True),
+])
+def test_catalog_probes_only_without_certificate(capsys, monkeypatch, window, all_probed):
+    """A definite record with a witness is closed by proof and skips the
+    probe; every other record runs it exactly once."""
+    monkeypatch.delenv("NORMED_FORMS_THREADS", raising=False)
+    probed = []
+    probe = cli.semigroup_probe
+
+    def counting(form, *args, **kwargs):
+        probed.append(form.coefficients())
+        return probe(form, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "semigroup_probe", counting)
+    code, out, _ = run(capsys, ["catalog", *window])
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().split("\n")]
+    expected = []
+    for r in records:
+        certified = r["plus_witness"] is not None or r["minus_witness"] is not None
+        if r["definiteness"] == "positive_definite" and certified:
+            assert r["semigroup_decided"] is True and r["semigroup_closed"] is True
+            assert r["semigroup_counterexamples"] == "0"
+        else:
+            expected.append(tuple(int(v) for v in r["form"]))
+    assert probed == expected
+    assert (len(probed) == len(records)) == all_probed
 
 
 def test_worker_count_is_clamped(monkeypatch):
