@@ -30,6 +30,9 @@ minus-minus witness is closed by proof (ClassificationReport.has_witness) and
 is not probed.  Without a witness, semigroup_probe counts the counterexamples
 on its 7x7 sample exactly, and each one proves that the form is not closed.
 For indefinite forms the fields stay advisory (decided false, closed null).
+The probe runs once per box-symmetry orbit {(m, +-k, n), (n, +-k, m)} within
+a discriminant: x2 -> -x2 and x1 <-> x2 map the sample and search boxes onto
+themselves, so the fields are equal across the orbit (see _catalog_record).
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ import sys
 import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd
+from operator import itemgetter
 
 from .classify import ClassificationReport, full_classification, order3_verdict
 from .curve import curve_sample
@@ -58,6 +62,11 @@ from .forms import (
 from .pairings import Pairing, is_normed, type_of
 
 _HYPERBOLIC_COMMENT = "# hyperbolic parametrization: s = sinh, c = cosh"
+# curve builds every theta and point in memory, so --samples is bounded
+MAX_CURVE_SAMPLES = 100_000
+
+# a catalog task: (discriminant, form coefficients)
+_Task = tuple[int, tuple[int, int, int]]
 
 
 def _decimal(value):
@@ -161,6 +170,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     # checked first: with no samples, curve_sample never validates the form
     if args.samples < 1:
         return _fail("--samples must be at least 1", 2)
+    if args.samples > MAX_CURVE_SAMPLES:
+        return _fail(f"--samples must be at most {MAX_CURVE_SAMPLES}", 2)
     form = Form(args.m, args.k, args.n)
     definite = form.definiteness() is Definiteness.POSITIVE_DEFINITE
     theta_max = args.theta_max
@@ -226,8 +237,8 @@ def _positive_delta_forms(delta: int, box: int) -> list[tuple[int, int, int]]:
     return sorted(found)
 
 
-def _catalog_tasks(dmin: int, dmax: int, box: int) -> list[tuple[int, tuple[int, int, int]]]:
-    tasks: list[tuple[int, tuple[int, int, int]]] = []
+def _catalog_tasks(dmin: int, dmax: int, box: int) -> list[_Task]:
+    tasks: list[_Task] = []
     for delta in range(dmin, dmax + 1):
         if delta == 0 or delta % 4 not in (0, 1):
             continue
@@ -239,7 +250,16 @@ def _catalog_tasks(dmin: int, dmax: int, box: int) -> list[tuple[int, tuple[int,
     return tasks
 
 
-def _catalog_record(task: tuple[int, tuple[int, int, int]]) -> dict:
+def _catalog_record(task: _Task,
+                    probes: dict[tuple[int, int, int], tuple[bool, int]]) -> dict:
+    """The catalog record of one task.  probes maps each box-symmetry orbit
+    (min(m, n), |k|, max(m, n)) of the task's discriminant to its probe result.
+
+    x2 -> -x2 and x1 <-> x2 map the sample box and the search box onto
+    themselves and turn (m, k, n) into (m, -k, n) and (n, k, m), so all forms
+    of an orbit have the same sample values and represent the same products
+    (on all of Z^2 for definite forms, inside the box for indefinite ones).
+    """
     delta, shape = task
     form = Form(*shape)
     report = full_classification(form)
@@ -248,8 +268,12 @@ def _catalog_record(task: tuple[int, tuple[int, int, int]]) -> dict:
     if report.has_witness and report.definiteness is Definiteness.POSITIVE_DEFINITE:
         decided, count = True, 0
     else:
-        probe = semigroup_probe(form)
-        decided, count = probe.decided, probe.counterexample_count
+        m, k, n = shape
+        orbit = (min(m, n), abs(k), max(m, n))
+        if orbit not in probes:
+            probe = semigroup_probe(form, max_recorded=0)
+            probes[orbit] = probe.decided, probe.counterexample_count
+        decided, count = probes[orbit]
     return _decimal({
         "delta": delta,
         "form": form.coefficients(),
@@ -258,6 +282,18 @@ def _catalog_record(task: tuple[int, tuple[int, int, int]]) -> dict:
         "semigroup_counterexamples": count,
         "semigroup_closed": count == 0 if decided else None,
     })
+
+
+def _block_records(block: list[_Task]) -> Iterator[dict]:
+    """The records of one discriminant's tasks, yielded as they are computed."""
+    probes: dict[tuple[int, int, int], tuple[bool, int]] = {}
+    for task in block:
+        yield _catalog_record(task, probes)
+
+
+def _block_record_list(block: list[_Task]) -> list[dict]:
+    """_block_records as a list, which a pool worker can send back."""
+    return list(_block_records(block))
 
 
 _CSV_COLUMNS = [
@@ -322,15 +358,21 @@ def _worker_count() -> int:
     return max(min(count, os.cpu_count() or 1), 1)
 
 
-def _catalog_records(tasks: list[tuple[int, tuple[int, int, int]]]) -> Iterator[dict]:
-    """The record of each task, yielded in task order as it is computed."""
+def _catalog_records(tasks: list[_Task]) -> Iterator[dict]:
+    """The record of each task, yielded in task order as it is computed.
+
+    Work is split into one block per discriminant, so a pool sends the forms
+    of an orbit to one worker, where they share one probe.
+    """
+    blocks = [list(block) for _, block in groupby(tasks, key=itemgetter(0))]
     workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(len(tasks) // (4 * workers), 1)
-            yield from pool.map(_catalog_record, tasks, chunksize=chunk)
+            chunk = max(len(blocks) // (4 * workers), 1)
+            yield from chain.from_iterable(
+                pool.map(_block_record_list, blocks, chunksize=chunk))
     else:
-        yield from map(_catalog_record, tasks)
+        yield from chain.from_iterable(map(_block_records, blocks))
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -404,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser("curve", help="CSV samples of the real witness curve")
     for name in ("m", "k", "n"):
         curve.add_argument(name, type=int)
-    curve.add_argument("--samples", type=int, default=64)
+    curve.add_argument("--samples", type=int, default=64,
+                       help=f"grid points, 1 to {MAX_CURVE_SAMPLES}")
     curve.add_argument("--theta-min", type=float, default=0.0)
     curve.add_argument("--theta-max", type=float, default=None,
                        help="default: one period (definite) or 2.0 (indefinite)")

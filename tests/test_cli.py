@@ -161,14 +161,15 @@ def test_curve_minus_branch(capsys):
 
 
 def test_curve_rejects_zero_sides(capsys):
-    """m n = 0, a negative side, a degenerate form, no samples, coefficients
-    beyond floating point or a non-finite theta window exit 2."""
+    """m n = 0, a negative side, a degenerate form, no samples or too many,
+    coefficients beyond floating point or a non-finite theta window exit 2."""
     code, _, err = run(capsys, ["curve", "0", "1", "5"])
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, ["curve", "1", "2", "1"])
     assert code == 2
     huge = str(10**400)
     for argv in (["-1", "0", "-3"], ["2", "1", "-3"], ["4", "2", "6", "--samples", "-1"],
+                 ["4", "2", "6", "--samples", str(cli.MAX_CURVE_SAMPLES + 1)],
                  ["1", "0", huge], ["1", huge, "1"], ["1", str(10**300), "1"],
                  ["1", "0", "1", "--theta-max", "nan"], ["1", "0", "1", "--theta-max", "inf"],
                  ["1", "0", "1", "--theta-min=-inf"],
@@ -268,9 +269,9 @@ def test_catalog_streams_records(monkeypatch):
     written_before = []
     compute = cli._catalog_record
 
-    def record(task):
+    def record(task, probes):
         written_before.append(out.getvalue().count("\n"))
-        return compute(task)
+        return compute(task, probes)
 
     monkeypatch.setattr(cli, "_catalog_record", record)
     monkeypatch.setattr(sys, "stdout", out)
@@ -279,13 +280,16 @@ def test_catalog_streams_records(monkeypatch):
     assert out.getvalue().count("\n") == len(tasks)
 
 
-@pytest.mark.parametrize("window, all_probed", [
-    (["--dmin", "-60", "--dmax", "-3"], False),
-    (["--dmin", "5", "--dmax", "8", "--box", "6"], True),
+# one probe per orbit; the two windows have 24 and 16 witness-free records
+@pytest.mark.parametrize("window, probe_count", [
+    (["--dmin", "-60", "--dmax", "-3"], 19),
+    (["--dmin", "5", "--dmax", "8", "--box", "6"], 7),
 ])
-def test_catalog_probes_only_without_certificate(capsys, monkeypatch, window, all_probed):
+def test_catalog_probes_only_without_certificate(capsys, monkeypatch, window, probe_count):
     """A definite record with a witness is closed by proof and skips the
-    probe; every other record runs it exactly once."""
+    probe; every other record takes the fields of one probe per box-symmetry
+    orbit (min(m, n), |k|, max(m, n)) of its discriminant, run on the orbit's
+    first form, and they equal a direct probe of the record's own form."""
     monkeypatch.delenv("NORMED_FORMS_THREADS", raising=False)
     probed = []
     probe = cli.semigroup_probe
@@ -298,16 +302,38 @@ def test_catalog_probes_only_without_certificate(capsys, monkeypatch, window, al
     code, out, _ = run(capsys, ["catalog", *window])
     assert code == 0
     records = [json.loads(line) for line in out.strip().split("\n")]
-    expected = []
+    expected, orbits = [], set()
     for r in records:
         certified = r["plus_witness"] is not None or r["minus_witness"] is not None
         if r["definiteness"] == "positive_definite" and certified:
             assert r["semigroup_decided"] is True and r["semigroup_closed"] is True
             assert r["semigroup_counterexamples"] == "0"
-        else:
-            expected.append(tuple(int(v) for v in r["form"]))
+            continue
+        m, k, n = (int(v) for v in r["form"])
+        orbit = (r["delta"], min(m, n), abs(k), max(m, n))
+        if orbit not in orbits:
+            orbits.add(orbit)
+            expected.append((m, k, n))
+        direct = probe(Form(m, k, n))
+        assert r["semigroup_decided"] is direct.decided
+        assert r["semigroup_counterexamples"] == str(direct.counterexample_count)
+        assert r["semigroup_closed"] == (
+            direct.counterexample_count == 0 if direct.decided else None)
     assert probed == expected
-    assert (len(probed) == len(records)) == all_probed
+    assert len(probed) == probe_count
+
+
+@pytest.mark.parametrize("window", [
+    ("--dmin", "-400", "--dmax", "-3"),
+    ("--dmin", "5", "--dmax", "24", "--box", "8"),
+])
+def test_catalog_pool_bytes_pinned(capsys, monkeypatch, window):
+    """A pool of two workers, which takes one block per discriminant, prints
+    the serial bytes."""
+    monkeypatch.setenv("NORMED_FORMS_THREADS", "2")
+    code, out, _ = run(capsys, ["catalog", *window])
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == CATALOG_SHA1[window]
 
 
 def test_worker_count_is_clamped(monkeypatch):

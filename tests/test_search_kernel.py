@@ -209,6 +209,42 @@ def test_probe_matches_oracle(form, sample_bound, search_bound, max_recorded):
     )
 
 
+# sigma and the form f o sigma, for the two maps of the box onto itself
+BOX_SYMMETRIES = {
+    "x2 -> -x2": (lambda v: (v[0], -v[1]), lambda f: Form(f.m, -f.k, f.n)),
+    "x1 <-> x2": (lambda v: (v[1], v[0]), lambda f: Form(f.n, f.k, f.m)),
+}
+
+
+@given(
+    nondegenerate,
+    st.integers(0, 2),
+    st.integers(0, 5),
+    st.sampled_from(sorted(BOX_SYMMETRIES)),
+)
+@settings(max_examples=200)
+@example(Form(3, 2, 5), 2, 100, "x2 -> -x2")
+@example(Form(3, 2, 5), 2, 100, "x1 <-> x2")
+@example(Form(2, 3, -5), 2, 5, "x2 -> -x2")
+@example(Form(2, 3, -5), 2, 5, "x1 <-> x2")
+def test_probe_is_invariant_under_box_symmetries(form, sample_bound, search_bound, name):
+    """f and f o sigma get the same counts, and sigma maps the counterexamples
+    of f onto those of f o sigma (sigma is an involution)."""
+    sigma, compose = BOX_SYMMETRIES[name]
+    twin = compose(form)
+    side = range(-sample_bound, sample_bound + 1)
+    assert all(twin(v) == form(sigma(v)) for v in product(side, side))
+    everything = len(side) ** 4
+    report = semigroup_probe(form, sample_bound, search_bound, everything)
+    twin_report = semigroup_probe(twin, sample_bound, search_bound, everything)
+    for field in ("pairs_checked", "products_checked", "counterexample_count", "decided"):
+        assert getattr(twin_report, field) == getattr(report, field)
+    assert set(twin_report.counterexamples) == {
+        (sigma(x), sigma(y)) for x, y in report.counterexamples
+    }
+    assert report == probe_oracle(form, sample_bound, search_bound, everything)
+
+
 def test_large_definite_witness_search_budget():
     """One row solve per a: a form with amax near 1000 takes milliseconds."""
     form = Form(1000003, 17, 999983)
