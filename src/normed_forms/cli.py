@@ -64,6 +64,10 @@ from .pairings import Pairing, is_normed, type_of
 _HYPERBOLIC_COMMENT = "# hyperbolic parametrization: s = sinh, c = cosh"
 # curve builds every theta and point in memory, so --samples is bounded
 MAX_CURVE_SAMPLES = 100_000
+# classify solves one row per x2 in [-box, 0] (about 0.8 s at the cap)
+MAX_CLASSIFY_BOX = 10**6
+# catalog visits box * (2 * box + 1) cells per positive discriminant
+MAX_CATALOG_BOX = 1000
 
 # a catalog task: (discriminant, form coefficients)
 _Task = tuple[int, tuple[int, int, int]]
@@ -148,6 +152,8 @@ def cmd_form_info(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.box < 0:
         return _fail("--box must not be negative", 2)
+    if args.box > MAX_CLASSIFY_BOX:
+        return _fail(f"--box must be at most {MAX_CLASSIFY_BOX}", 2)
     form = Form(args.m, args.k, args.n)
     if form.discriminant() == 0:
         return _fail("classification requires a nondegenerate form", 2)
@@ -382,6 +388,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return _fail("range must be entirely negative or entirely positive", 2)
     if args.dmin > 0 and args.box < 1:
         return _fail("a positive range needs --box >= 1", 2)
+    if args.box > MAX_CATALOG_BOX:
+        return _fail(f"--box must be at most {MAX_CATALOG_BOX}", 2)
     records = _catalog_records(_catalog_tasks(args.dmin, args.dmax, args.box))
     if args.format == "jsonl":
         lines = (json.dumps(r, sort_keys=True) + "\n" for r in records)
@@ -437,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("m", "k", "n"):
         classify.add_argument(name, type=int)
     classify.add_argument("--box", type=int, default=100,
-                          help="search bound for indefinite forms")
+                          help="search bound for indefinite forms, "
+                          f"0 to {MAX_CLASSIFY_BOX}")
     classify.add_argument("--strict", action="store_true",
                           help="exit 3 when any verdict is merely bounded")
     classify.add_argument("--timing", action="store_true", help="attach elapsed_ms")
@@ -474,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     catalog.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     catalog.add_argument("--out", default=None, help="output path (default stdout)")
     catalog.add_argument("--box", type=int, default=12,
-                         help="coefficient bound for positive discriminants")
+                         help="coefficient bound for positive discriminants, "
+                         f"at most {MAX_CATALOG_BOX}")
     catalog.set_defaults(func=cmd_catalog)
     return parser
 

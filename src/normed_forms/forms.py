@@ -325,14 +325,8 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     for u, v in combinations_with_replacement(mult, 2):
         t = u * v
         if t not in representable:
-            if t % modulus:
-                representable[t] = False
-            elif disc < 0:
-                representable[t] = form.m * t >= 0 and next(
-                    _row_solutions(form, t, *_ellipse_bounds(form, disc, t)), None
-                ) is not None
-            else:
-                representable[t] = form.represent(t, search_bound) is not None
+            representable[t] = (t % modulus == 0
+                                and form.represent(t, search_bound) is not None)
         if not representable[t]:
             count += mult[u] * mult[v] * (1 if u == v else 2)
     misses = ((x, y) for x in values for y in values

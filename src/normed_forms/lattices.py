@@ -21,6 +21,11 @@ The four multiplicative couplings are
 Stability of a lattice under sigma1..sigma3 is a single condition, and stable
 integer-normed lattices are exactly the ideals of the quadratic order of the
 matching discriminant.
+
+embed_form writes a form (m, k, n) as the norm form of a lattice: it finds
+e1 with norm(e1) = m through the shared row-solve kernel of forms (as the
+form (-Delta, 0, 1) on (b, a)), and e2 in closed form, e1 (k + tau) / (2m)
+when m != 0 and the unique zero-divisor solution when m = 0.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import forms as _forms
-from .forms import DegenerateFormError, Definiteness, Form, exact_sqrt, ext_gcd
+from .forms import DegenerateFormError, Definiteness, Form, _row_solutions, exact_sqrt, ext_gcd
 from .matembed import Sublattice
 
 Rational = int | Fraction
@@ -408,12 +413,28 @@ def order_lattice(ctx: Context, delta_star: int) -> Lattice:
 def embed_form(form: Form, height_bound: int = 10) -> Lattice | None:
     """Search for a lattice whose basis realizes the given form exactly.
 
-    Seeks e1, e2 in Q(tau), tau^2 = disc(form), with norm(e1) = m,
-    trace(e1 conj(e2)) = k, norm(e2) = n, positively oriented.  e1 runs over
-    (a + b tau)/d with gcd(a, b, d) = 1 and max(|a|, |b|, d) <= height_bound
-    in increasing height; e2 is then solved for exactly.  Returns the first
-    hit, or None if the search box is exhausted (not a proof of
-    non-existence).
+    Seeks e1, e2 in Q(tau), tau^2 = Delta = disc(form), with norm(e1) = m,
+    trace(e1 conj(e2)) = k, norm(e2) = n, positively oriented
+    (u1 v2 - u2 v1 > 0).  e1 runs over the nonzero (a + b tau)/d with
+    gcd(a, b, d) = 1 and max(|a|, |b|, d) <= height_bound, in increasing
+    height h, then d, then (a, b); the (b, a) with a^2 - Delta b^2 = m d^2
+    are the row solutions of the form (-Delta, 0, 1).  e2 is then fixed:
+
+    m != 0: w = e1 conj(e2) has trace k and norm mn, so (w - k/2)^2 = Delta/4,
+    whose roots are (k +- tau)/2 and, when Delta is a square, rationals; a
+    rational w makes e2 = conj(w) e1 / m dependent on e1.  The orientation
+    u1 v2 - u2 v1 is the tau-part of conj(e1) e2 = conj(w), which forces
+    w = (k - tau)/2.  So e2 = e1 (k + tau) / (2m), always positively oriented,
+    and the first e1 is the answer.
+
+    m = 0: then Delta = k^2 and e1 is a nonzero zero divisor, so e1 and
+    conj(e1) are a basis of the algebra.  Writing e2 = x e1 + y conj(e1) gives
+    norm(e2) = x y trace(e1^2) and trace(e1 conj(e2)) = y trace(e1^2), so the
+    unique solution is e2 = (n/k) e1 + k conj(e1) / trace(e1^2); it is kept
+    only when positively oriented.
+
+    Returns the first hit, or None if the search box is exhausted (not a
+    proof of non-existence).
     """
     delta = form.discriminant()
     if delta == 0:
@@ -423,62 +444,18 @@ def embed_form(form: Form, height_bound: int = 10) -> Lattice | None:
         return None
     ctx = Context(delta)
     m, k, n = form.m, form.k, form.n
+    norm_form = Form(-delta, 0, 1)  # (b, a) -> a^2 - delta b^2
     for h in range(1, height_bound + 1):
         for d in range(1, h + 1):
-            for a in range(-h, h + 1):
-                for b in range(-h, h + 1):
-                    if max(abs(a), abs(b), d) != h:
-                        continue
-                    if gcd(a, gcd(b, d)) != 1:
-                        continue
-                    if a * a - delta * b * b != m * d * d:
-                        continue
-                    e1 = QuadElem(ctx, Fraction(a, d), Fraction(b, d))
-                    e2 = _solve_second_generator(ctx, e1, k, n)
-                    if e2 is not None:
-                        return Lattice(ctx, e1, e2)
-    return None
-
-
-def _solve_second_generator(
-    ctx: Context, e1: QuadElem, k: int, n: int
-) -> QuadElem | None:
-    """Exact solve of trace(e1 conj(e2)) = k, norm(e2) = n, orientation > 0."""
-    delta = ctx.delta
-    u1, v1 = e1.u, e1.v
-    candidates: list[tuple[Fraction, Fraction]] = []
-    if u1 != 0:
-        # x = (k/2 + delta v1 y) / u1, then a quadratic in y
-        qa = -Fraction(delta) * e1.norm() / (u1 * u1)
-        qb = Fraction(k) * delta * v1 / (u1 * u1)
-        qc = Fraction(k * k, 4) / (u1 * u1) - n
-        if qa == 0:
-            if qb != 0:
-                ys = [-qc / qb]
-            else:
-                ys = []
-        else:
-            disc = qb * qb - 4 * qa * qc
-            root = exact_sqrt(disc)
-            if root is None:
-                ys = []
-            else:
-                ys = sorted({(-qb - root) / (2 * qa), (-qb + root) / (2 * qa)})
-        for y in ys:
-            x = (Fraction(k, 2) + delta * v1 * y) / u1
-            candidates.append((y, x))
-    else:
-        # trace condition pins y; norm condition gives x^2
-        y = Fraction(-k) / (2 * delta * v1)
-        xx = n + delta * y * y
-        root = exact_sqrt(xx)
-        if root is not None:
-            for x in sorted({root, -root}):
-                candidates.append((y, x))
-    for y, x in sorted(candidates):
-        e2 = QuadElem(ctx, x, y)
-        if u1 * y - x * v1 <= 0:
-            continue
-        if e2.norm() == n and (e1 * e2.conj()).trace() == k:
-            return e2
+            for b, a in _row_solutions(norm_form, m * d * d, range(-h, h + 1), h):
+                if max(abs(a), abs(b), d) != h or gcd(a, b, d) != 1:
+                    continue
+                if a == b == 0:  # the zero vector solves m = 0
+                    continue
+                e1 = QuadElem(ctx, Fraction(a, d), Fraction(b, d))
+                if m:
+                    return Lattice(ctx, e1, e1 * ctx.elem(k, 1) / (2 * m))
+                e2 = e1 * Fraction(n, k) + e1.conj() * (k / (e1 * e1).trace())
+                if e1.u * e2.v - e2.u * e1.v > 0:
+                    return Lattice(ctx, e1, e2)
     return None

@@ -5,10 +5,12 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
 
+import normed_forms
 from normed_forms import Form, PlusParams, Quadruple, cli, full_classification
 from normed_forms.cli import _decimal, _worker_count, main
 
@@ -209,7 +211,7 @@ def test_verify_rejects_non_normed(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    """argparse failures and a negative --box keep the conventional exit code."""
+    """argparse failures and an out-of-range --box keep the conventional exit code."""
     with pytest.raises(SystemExit) as info:
         main(["classify", "2", "1"])
     assert info.value.code == 2
@@ -221,6 +223,14 @@ def test_usage_errors_exit_two(capsys):
     code, out, err = run(capsys, ["classify", "1", "3", "1", "--box", "-5"])
     assert code == 2 and out == ""
     assert err.startswith("error:")
+    # caps are checked before any search, so these return at once
+    huge = str(10**12)
+    code, out, err = run(capsys, ["classify", "1", "3", "1", "--box", huge])
+    assert (code, out) == (2, "")
+    assert err == f"error: --box must be at most {cli.MAX_CLASSIFY_BOX}\n"
+    code, out, err = run(capsys, ["catalog", "--dmin", "5", "--dmax", "5", "--box", huge])
+    assert (code, out) == (2, "")
+    assert err == f"error: --box must be at most {cli.MAX_CATALOG_BOX}\n"
 
 
 def test_catalog_jsonl_window(capsys):
@@ -482,3 +492,25 @@ def test_decimal_renders_only_ints():
         "big": "-10000000000000000000000000000000000000000",
         "nested": [["1", "-2"], ["3", {"k": "0"}]],
     }
+
+
+def run_module(*argv):
+    """Run python -m normed_forms in a fresh interpreter; (exit code, stdout)."""
+    src = os.path.dirname(os.path.dirname(normed_forms.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("NORMED_FORMS_THREADS", None)
+    done = subprocess.run([sys.executable, "-m", "normed_forms", *argv],
+                          capture_output=True, env=env, timeout=120)
+    return done.returncode, done.stdout
+
+
+def test_module_entry_point_exit_codes():
+    """Bytes and exit codes survive __main__'s sys.exit in a real process."""
+    window = ("--dmin", "-60", "--dmax", "-3")
+    code, out = run_module("catalog", *window)
+    assert code == 0
+    assert hashlib.sha1(out).hexdigest() == CATALOG_SHA1[window]
+    code, out = run_module("verify", "1", "0", "0", "1", "1", "0", "0", "1", "1", "0", "1")
+    assert code == 1 and json.loads(out)["normed"] is False
+    code, out = run_module("classify", "1", "3", "1", "--box", "0", "--strict")
+    assert code == 3 and json.loads(out)["command"] == "classify"

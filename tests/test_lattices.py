@@ -1,16 +1,20 @@
 """Tests for quadratic contexts, lattices, ideals and form embeddings."""
 
+from fractions import Fraction
 from fractions import Fraction as Fr
+from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
 from normed_forms import (
     Context,
     DegenerateFormError,
+    Definiteness,
     Form,
     Lattice,
+    QuadElem,
     Quadruple,
     Sublattice,
     check_stability,
@@ -22,6 +26,7 @@ from normed_forms import (
     quadratic_order,
     sigma,
 )
+from normed_forms.forms import exact_sqrt
 
 deltas = st.sampled_from([-23, -4, -20, -8, 8, 12, 13, 5])
 rat = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -434,7 +439,7 @@ def test_embed_form_signs():
         embed_form(Form(1, 2, 1))
 
 
-@given(st.integers(1, 8), st.integers(-8, 8), st.integers(1, 8))
+@given(intval, intval, intval)
 @settings(max_examples=80)
 def test_embed_form_roundtrip(m, k, n):
     """Whenever the bounded conic search succeeds, the basis realizes the form."""
@@ -447,3 +452,113 @@ def test_embed_form_roundtrip(m, k, n):
         return
     assert lat.to_form() == f
     assert lat.discriminant() == f.discriminant()
+
+
+@pytest.mark.parametrize("coefficients", [(0, 2, 1), (0, 3, -2), (0, -2, 5)])
+def test_embed_form_zero_leading_coefficient(coefficients):
+    """m = 0 forms embed through a zero divisor; e1 = 0 is never tried."""
+    lat = embed_form(Form(*coefficients))
+    assert lat is not None
+    assert lat.to_form() == Form(*coefficients)
+    assert lat.e1.norm() == 0 and not lat.e1.is_zero()
+
+
+def embed_form_oracle(form: Form, height_bound: int = 10) -> Lattice | None:
+    """The (h, d, a, b) scan and quadratic solve that embed_form replaced."""
+    delta = form.discriminant()
+    if delta == 0:
+        raise DegenerateFormError("embedding requires a nondegenerate form")
+    if form.definiteness() is Definiteness.NEGATIVE_DEFINITE:
+        # norms in the delta < 0 algebra are positive; no lattice exists
+        return None
+    ctx = Context(delta)
+    m, k, n = form.m, form.k, form.n
+    for h in range(1, height_bound + 1):
+        for d in range(1, h + 1):
+            for a in range(-h, h + 1):
+                for b in range(-h, h + 1):
+                    if max(abs(a), abs(b), d) != h:
+                        continue
+                    if gcd(a, gcd(b, d)) != 1:
+                        continue
+                    if a * a - delta * b * b != m * d * d:
+                        continue
+                    e1 = QuadElem(ctx, Fraction(a, d), Fraction(b, d))
+                    e2 = _solve_second_generator(ctx, e1, k, n)
+                    if e2 is not None:
+                        return Lattice(ctx, e1, e2)
+    return None
+
+
+def _solve_second_generator(
+    ctx: Context, e1: QuadElem, k: int, n: int
+) -> QuadElem | None:
+    """Exact solve of trace(e1 conj(e2)) = k, norm(e2) = n, orientation > 0."""
+    delta = ctx.delta
+    u1, v1 = e1.u, e1.v
+    candidates: list[tuple[Fraction, Fraction]] = []
+    if u1 != 0:
+        # x = (k/2 + delta v1 y) / u1, then a quadratic in y
+        qa = -Fraction(delta) * e1.norm() / (u1 * u1)
+        qb = Fraction(k) * delta * v1 / (u1 * u1)
+        qc = Fraction(k * k, 4) / (u1 * u1) - n
+        if qa == 0:
+            if qb != 0:
+                ys = [-qc / qb]
+            else:
+                ys = []
+        else:
+            disc = qb * qb - 4 * qa * qc
+            root = exact_sqrt(disc)
+            if root is None:
+                ys = []
+            else:
+                ys = sorted({(-qb - root) / (2 * qa), (-qb + root) / (2 * qa)})
+        for y in ys:
+            x = (Fraction(k, 2) + delta * v1 * y) / u1
+            candidates.append((y, x))
+    else:
+        # trace condition pins y; norm condition gives x^2
+        y = Fraction(-k) / (2 * delta * v1)
+        xx = n + delta * y * y
+        root = exact_sqrt(xx)
+        if root is not None:
+            for x in sorted({root, -root}):
+                candidates.append((y, x))
+    for y, x in sorted(candidates):
+        e2 = QuadElem(ctx, x, y)
+        if u1 * y - x * v1 <= 0:
+            continue
+        if e2.norm() == n and (e1 * e2.conj()).trace() == k:
+            return e2
+    return None
+
+
+@given(intval, intval, intval, st.integers(1, 10))
+@example(4, 0, -1, 10)    # square discriminant, m > 0
+@example(-3, 1, 1, 10)    # indefinite, m < 0
+@example(-1, 4, -3, 10)   # square discriminant, m < 0
+@example(0, 1, 3, 10)     # m = 0, where the oracle finds e1 = -1 + tau first
+@example(0, 2, 1, 10)     # m = 0, where the oracle divides by zero
+@example(2, 0, 3, 10)     # no embedding in the box
+@settings(max_examples=200)
+def test_embed_form_matches_oracle(m, k, n, height):
+    """The kernel search and the closed-form e2 give the oracle's exact basis.
+
+    Where the oracle tries e1 = 0 and divides by zero (m = 0), the new search
+    must still return None or a lattice realizing the form.
+    """
+    form = Form(m, k, n)
+    if form.discriminant() == 0:
+        return
+    lat = embed_form(form, height)
+    try:
+        expected = embed_form_oracle(form, height)
+    except ZeroDivisionError:
+        assert m == 0
+        assert lat is None or lat.to_form() == form
+        return
+    if expected is None:
+        assert lat is None
+    else:
+        assert (lat.e1, lat.e2) == (expected.e1, expected.e2)
