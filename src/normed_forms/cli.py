@@ -49,7 +49,12 @@ from itertools import chain, groupby
 from math import gcd
 from operator import itemgetter
 
-from .classify import ClassificationReport, full_classification, order3_verdict
+from .classify import (
+    ClassificationReport,
+    full_classification,
+    minus_minus_bounds,
+    order3_verdict,
+)
 from .curve import curve_sample
 from .forms import (
     Definiteness,
@@ -64,10 +69,16 @@ from .pairings import Pairing, is_normed, type_of
 _HYPERBOLIC_COMMENT = "# hyperbolic parametrization: s = sinh, c = cosh"
 # curve builds every theta and point in memory, so --samples is bounded
 MAX_CURVE_SAMPLES = 100_000
-# classify solves one row per x2 in [-box, 0] (about 0.8 s at the cap)
+# classify solves one row per x2 in [-box, 0] (about 0.8 s at the cap); the
+# same cap bounds the 2 * amax + 1 rows of a positive definite form's
+# minus-minus scan (minus_minus_bounds)
 MAX_CLASSIFY_BOX = 10**6
 # catalog visits box * (2 * box + 1) cells per positive discriminant
 MAX_CATALOG_BOX = 1000
+# catalog classifies and probes each reduced form of a negative discriminant,
+# about sqrt(|delta|) of them (up to about 0.9 s for one discriminant near
+# the cap); the cap holds for positive windows too
+MAX_CATALOG_DISCRIMINANT = 10**5
 
 # a catalog task: (discriminant, form coefficients)
 _Task = tuple[int, tuple[int, int, int]]
@@ -157,6 +168,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     form = Form(args.m, args.k, args.n)
     if form.discriminant() == 0:
         return _fail("classification requires a nondegenerate form", 2)
+    if form.definiteness() is Definiteness.POSITIVE_DEFINITE:
+        # 4mn >= |disc| gives amax >= isqrt(m) >= isqrt(content), so this
+        # also bounds the divisor loop of the plus search
+        rows = 2 * minus_minus_bounds(form)[0] + 1
+        if rows > MAX_CLASSIFY_BOX:
+            return _fail(f"the minus-minus search would solve {rows} rows, "
+                         f"more than {MAX_CLASSIFY_BOX}", 2)
     start = time.perf_counter()
     report = full_classification(form, box_bound=args.box)
     record = {
@@ -390,6 +408,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return _fail("a positive range needs --box >= 1", 2)
     if args.box > MAX_CATALOG_BOX:
         return _fail(f"--box must be at most {MAX_CATALOG_BOX}", 2)
+    if max(abs(args.dmin), abs(args.dmax)) > MAX_CATALOG_DISCRIMINANT:
+        return _fail("--dmin and --dmax must be at most "
+                     f"{MAX_CATALOG_DISCRIMINANT} in absolute value", 2)
     records = _catalog_records(_catalog_tasks(args.dmin, args.dmax, args.box))
     if args.format == "jsonl":
         lines = (json.dumps(r, sort_keys=True) + "\n" for r in records)
@@ -446,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
         classify.add_argument(name, type=int)
     classify.add_argument("--box", type=int, default=100,
                           help="search bound for indefinite forms, "
-                          f"0 to {MAX_CLASSIFY_BOX}")
+                          f"0 to {MAX_CLASSIFY_BOX}; positive definite forms "
+                          f"whose minus-minus scan exceeds {MAX_CLASSIFY_BOX} "
+                          "rows are rejected")
     classify.add_argument("--strict", action="store_true",
                           help="exit 3 when any verdict is merely bounded")
     classify.add_argument("--timing", action="store_true", help="attach elapsed_ms")
@@ -478,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     catalog = sub.add_parser("catalog", help="classify a discriminant range")
-    catalog.add_argument("--dmin", type=int, required=True)
-    catalog.add_argument("--dmax", type=int, required=True)
+    window = f"discriminant window bound, |D| at most {MAX_CATALOG_DISCRIMINANT}"
+    catalog.add_argument("--dmin", type=int, required=True, help=window)
+    catalog.add_argument("--dmax", type=int, required=True, help=window)
     catalog.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     catalog.add_argument("--out", default=None, help="output path (default stdout)")
     catalog.add_argument("--box", type=int, default=12,

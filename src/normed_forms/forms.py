@@ -196,38 +196,47 @@ class Form:
     def represent(self, target: int, box_bound: int = 100) -> Vec2 | None:
         """Search for an integer vector v with self(v) == target.
 
-        Returns the first witness in lexicographic (x2, x1) order.  Each row
-        x2 is one exact solve (see _row_solutions); as f(-v) = f(v) and the
-        search region is symmetric, the first witness has x2 <= 0, so only
-        those rows are solved.
+        Returns the first witness in lexicographic (x2, x1) order.  As
+        f(-v) = f(v) and the search region is symmetric, the first witness
+        has x2 <= 0, so only those rows are solved, one exact solve per row.
 
-        Positive definite forms: exact decision on the ellipse
-        |x1| <= sqrt(4*n*target/|disc|), |x2| <= sqrt(4*m*target/|disc|).
-        box_bound is ignored and None is a proof of non-representability.
-
-        Negative definite forms search the same ellipse; the kernel solves
-        -f = -target, which has the same solutions.
+        Definite forms (|disc| = 4mn - k^2 > 0): exact decision on the
+        ellipse f = target; box_bound is ignored and None is a proof of
+        non-representability.  A negative definite form solves -f = -target,
+        which has the same solutions, so take m > 0 and target >= 0.  With
+        x2 = -y, 4m*f(x) = (2m*x1 - k*y)^2 + |disc|*y^2, so a solution has
+        (2m*x1 - k*y)^2 = row = 4m*target - |disc|*y^2 and x1 is
+        (k*y - s)/(2m) or (k*y + s)/(2m) for s = isqrt(row).  The rows are
+        y = R, R - 1, ..., 0 with R = isqrt(4m*target // |disc|), the largest
+        y with row >= 0, so no row is negative.  No column bound is needed:
+        every real point of the ellipse has |x1| <= sqrt(4n*target/|disc|),
+        so an integer root of a row already lies inside it.  Descending y is
+        ascending x2, and (k*y - s)/(2m) is the smaller root, so the first
+        root found is the first witness in (x2, x1) order.
 
         Indefinite and degenerate forms: bounded search over
-        |x1|, |x2| <= box_bound; None only means "not found within the box".
+        |x1|, |x2| <= box_bound (see _row_solutions); None only means "not
+        found within the box".
         """
-        disc = self.discriminant()
-        if disc < 0:  # definite: f(v) has the sign of m
-            if self.m * target < 0:
-                return None
-            rows, col_bound = _ellipse_bounds(self, disc, target)
-        else:
-            rows, col_bound = range(-box_bound, 1), box_bound
-        return next(_row_solutions(self, target, rows, col_bound), None)
-
-
-def _ellipse_bounds(form: Form, disc: int, target: int) -> tuple[range, int]:
-    """The rows x2 <= 0 and the column bound |x1| of the ellipse form = target.
-
-    For a definite form of discriminant disc with m*target >= 0.
-    """
-    rows = range(-floor_sqrt_ratio(4 * form.m * target, -disc), 1)
-    return rows, floor_sqrt_ratio(4 * form.n * target, -disc)
+        m, k = self.m, self.k
+        absd = 4 * m * self.n - k * k
+        if absd <= 0:
+            return next(_row_solutions(self, target, range(-box_bound, 1), box_bound), None)
+        if m < 0:
+            m, k, target = -m, -k, -target
+        if target < 0:
+            return None
+        two_m = 2 * m
+        four_mt = two_m * 2 * target
+        for y in range(isqrt(four_mt // absd), -1, -1):
+            row = four_mt - absd * y * y
+            s = isqrt(row)
+            if s * s == row:
+                if (k * y - s) % two_m == 0:
+                    return ((k * y - s) // two_m, -y)
+                if (k * y + s) % two_m == 0:
+                    return ((k * y + s) // two_m, -y)
+        return None
 
 
 def _row_solutions(form: Form, target: int, rows: range, col_bound: int) -> Iterator[Vec2]:
@@ -316,7 +325,7 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     if disc < 0:
         # products of two values are >= 0; the largest m*t takes the most rows
         top = max(mult, key=lambda u: form.m * u * u, default=0)
-        cap = len(_ellipse_bounds(form, disc, top * top)[0])
+        cap = isqrt(4 * form.m * top * top // -disc) + 1
     else:
         cap = search_bound + 1
     modulus = prod(_nonresidue_primes(form, disc, cap))

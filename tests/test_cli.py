@@ -233,6 +233,35 @@ def test_usage_errors_exit_two(capsys):
     assert err == f"error: --box must be at most {cli.MAX_CATALOG_BOX}\n"
 
 
+def test_oversized_searches_exit_two(capsys, monkeypatch):
+    """Positive definite forms whose minus-minus scan would solve more than
+    MAX_CLASSIFY_BOX rows, and catalog windows beyond
+    MAX_CATALOG_DISCRIMINANT, exit 2 before any search."""
+    # the largest classify-big forms (amax about 330) stay accepted
+    code, out, _ = run(capsys, ["classify", "100000", "50000", "100000"])
+    assert code == 0 and json.loads(out)["minus_decision"] == "decided"
+    # any search would now fail
+    monkeypatch.setattr(cli, "full_classification", None)
+    monkeypatch.setattr(cli, "_catalog_tasks", None)
+    cap = cli.MAX_CLASSIFY_BOX
+    # (10^30, 0, 10^30) has amax = 10^15; (2.5e11, 1, 2.5e11 + 1) has
+    # amax = 500000, one row over the cap
+    for shape, rows in (((10**30, 0, 10**30), 2 * 10**15 + 1),
+                        ((250_000_000_000, 1, 250_000_000_001), cap + 1)):
+        code, out, err = run(capsys, ["classify", *map(str, shape)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: the minus-minus search would solve {rows} rows, "
+                       f"more than {cap}\n")
+    window_cap = cli.MAX_CATALOG_DISCRIMINANT
+    message = (f"error: --dmin and --dmax must be at most {window_cap} "
+               "in absolute value\n")
+    for window in ((-10**9, -999_999_000), (-window_cap - 4, -3),
+                   (window_cap, window_cap + 1)):
+        code, out, err = run(capsys, ["catalog", "--dmin", str(window[0]),
+                                      "--dmax", str(window[1])])
+        assert (code, out, err) == (2, "", message)
+
+
 def test_catalog_jsonl_window(capsys):
     """Ascending deltas with the reduced-forms enumeration inside each."""
     code, out, _ = run(capsys, ["catalog", "--dmin", "-30", "--dmax", "-20"])

@@ -3,19 +3,27 @@
 The brute-force O(B^2) scans that the kernel replaced live on here, and only
 here, as oracles: the indefinite double loop of Form.represent, the (a, c)
 double loop of the minus-minus scan, and the pair-by-pair semigroup probe.
-The genus-character filter of the probe is checked against brute force too.
+So does the kernel-based definite branch of Form.represent that the plain
+ellipse loop replaced.  The genus-character filter of the probe is checked
+against brute force too.
 """
 
 import time
 
 from itertools import product
+from math import isqrt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normed_forms import Definiteness, Form, Quadruple, reduced_forms, semigroup_probe
 from normed_forms.classify import _scan_quadruples, minus_minus_bounds, minus_minus_witnesses
-from normed_forms.forms import SemigroupReport, _nonresidue_primes, _row_solutions
+from normed_forms.forms import (
+    SemigroupReport,
+    _nonresidue_primes,
+    _row_solutions,
+    floor_sqrt_ratio,
+)
 
 small = st.integers(min_value=-6, max_value=6)
 forms = st.builds(Form, small, small, small)
@@ -23,6 +31,8 @@ nondegenerate = forms.filter(lambda f: f.discriminant() != 0)
 wide = st.integers(min_value=-30, max_value=30)
 wide_nondegenerate = st.builds(Form, wide, wide, wide).filter(lambda f: f.discriminant() != 0)
 boxes = st.integers(min_value=0, max_value=7)
+definite = st.builds(Form, wide, wide, wide).filter(lambda f: f.discriminant() < 0)
+sample_points = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 
 def represent_oracle(form: Form, target: int, box_bound: int):
@@ -43,6 +53,25 @@ def represent_oracle(form: Form, target: int, box_bound: int):
             if form((x1, x2)) == target:
                 return (x1, x2)
     return None
+
+
+def _ellipse_bounds(form: Form, disc: int, target: int) -> tuple[range, int]:
+    """The rows x2 <= 0 and the column bound |x1| of the ellipse form = target.
+
+    For a definite form of discriminant disc with m*target >= 0.
+    """
+    rows = range(-floor_sqrt_ratio(4 * form.m * target, -disc), 1)
+    return rows, floor_sqrt_ratio(4 * form.n * target, -disc)
+
+
+def definite_represent_oracle(form: Form, target: int):
+    """The definite branch of Form.represent before the plain ellipse loop:
+    the row-solve kernel over the ellipse's rows and column bound."""
+    disc = form.discriminant()
+    if form.m * target < 0:
+        return None
+    rows, col_bound = _ellipse_bounds(form, disc, target)
+    return next(_row_solutions(form, target, rows, col_bound), None)
 
 
 def scan_oracle(form: Form, bounds):
@@ -160,6 +189,42 @@ def test_row_solutions_match_full_scan(form, target, rows, cols):
 def test_represent_matches_oracle(form, target, box):
     """Witness and None agree with the full box scan, degenerate forms too."""
     assert form.represent(target, box) == represent_oracle(form, target, box)
+
+
+@st.composite
+def definite_targets(draw):
+    """A definite form and a target: a product f(x)f(y) of two sample
+    values, that product negated or moved off by one, 0, or any integer."""
+    form = draw(definite)
+    u, v = form(draw(sample_points)), form(draw(sample_points))
+    target = draw(st.sampled_from([u * v, -u * v, u * v + 1, u, 0])
+                  | st.integers(-10**6, 10**6))
+    return form, target
+
+
+@given(definite_targets())
+@settings(max_examples=500)
+@example((Form(1, 0, 1), 1))  # the first row R has the witness
+@example((Form(1, 0, 1), 2))  # two roots: (-1, -1) before (1, -1)
+@example((Form(2, -5, 4), 1))  # only the second root is an integer
+@example((Form(-1, 0, -1), -1))
+@example((Form(-2, 5, -5), -2))
+@example((Form(-2, 5, -5), 2))
+@example((Form(3, 1, 5), 0))
+@example((Form(30, -30, 30), 810 * 810))
+@example((Form(1, 1, 1), 3 * 10**6 + 1))
+def test_definite_represent_matches_oracles(case):
+    """The plain ellipse loop returns the old kernel branch's witness, or
+    None, on large targets too; where the ellipse's box is small enough to
+    scan, the full scan agrees as well."""
+    form, target = case
+    found = form.represent(target)
+    assert found == definite_represent_oracle(form, target)
+    if found is not None:
+        assert form(found) == target
+    reach = isqrt(4 * max(abs(form.m), abs(form.n)) * abs(target) // -form.discriminant())
+    if reach <= 60:
+        assert found == represent_oracle(form, target, 0)
 
 
 @given(nondegenerate, st.tuples(boxes, boxes, boxes, boxes))
