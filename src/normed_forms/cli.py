@@ -18,12 +18,11 @@ is only attached when --timing is passed, and never in catalog records.
 Exit codes: 0 success, 1 verification negative, 2 input error,
 3 inconclusive under --strict, 4 I/O failure.
 
-The catalog command can fan classification out across processes; set
-NORMED_FORMS_THREADS to a worker count (clamped to the CPU count).  Records
-are written to stdout one by one as they are computed, in canonical order
-(ascending discriminant, then enumeration order of the reduced forms), so the
-worker count never changes the output; --out collects the whole catalog and
-replaces the file atomically.
+The catalog command writes records to stdout one by one as they are computed,
+in canonical order (ascending discriminant, then enumeration order of the
+forms), so the JSON lines of adjacent sub-windows concatenate to the full
+window's bytes and a wide window can be split across concurrent runs; --out
+collects the whole catalog and replaces the file atomically.
 
 The catalog's semigroup_* fields: a positive definite form with a plus or
 minus-minus witness is closed by proof (ClassificationReport.has_witness) and
@@ -44,10 +43,8 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from itertools import chain, groupby
-from math import gcd
-from operator import itemgetter
+from itertools import chain
+from math import gcd, isqrt
 
 from .classify import (
     ClassificationReport,
@@ -79,9 +76,6 @@ MAX_CATALOG_BOX = 1000
 # about sqrt(|delta|) of them (up to about 0.9 s for one discriminant near
 # the cap); the cap holds for positive windows too
 MAX_CATALOG_DISCRIMINANT = 10**5
-
-# a catalog task: (discriminant, form coefficients)
-_Task = tuple[int, tuple[int, int, int]]
 
 
 def _decimal(value):
@@ -168,12 +162,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
     form = Form(args.m, args.k, args.n)
     if form.discriminant() == 0:
         return _fail("classification requires a nondegenerate form", 2)
-    if form.definiteness() is Definiteness.POSITIVE_DEFINITE:
+    kind = form.definiteness()
+    if kind is Definiteness.POSITIVE_DEFINITE:
         # 4mn >= |disc| gives amax >= isqrt(m) >= isqrt(content), so this
         # also bounds the divisor loop of the plus search
         rows = 2 * minus_minus_bounds(form)[0] + 1
         if rows > MAX_CLASSIFY_BOX:
             return _fail(f"the minus-minus search would solve {rows} rows, "
+                         f"more than {MAX_CLASSIFY_BOX}", 2)
+    elif kind is Definiteness.INDEFINITE:
+        # the plus search trial-divides the content up to its square root
+        root = isqrt(form.content())
+        if root > MAX_CLASSIFY_BOX:
+            return _fail(f"the plus search would trial-divide up to {root}, "
                          f"more than {MAX_CLASSIFY_BOX}", 2)
     start = time.perf_counter()
     report = full_classification(form, box_bound=args.box)
@@ -261,30 +262,16 @@ def _positive_delta_forms(delta: int, box: int) -> list[tuple[int, int, int]]:
     return sorted(found)
 
 
-def _catalog_tasks(dmin: int, dmax: int, box: int) -> list[_Task]:
-    tasks: list[_Task] = []
-    for delta in range(dmin, dmax + 1):
-        if delta == 0 or delta % 4 not in (0, 1):
-            continue
-        if delta < 0:
-            shapes = [f.coefficients() for f in reduced_forms(delta)]
-        else:
-            shapes = _positive_delta_forms(delta, box)
-        tasks.extend((delta, shape) for shape in shapes)
-    return tasks
-
-
-def _catalog_record(task: _Task,
+def _catalog_record(delta: int, shape: tuple[int, int, int],
                     probes: dict[tuple[int, int, int], tuple[bool, int]]) -> dict:
-    """The catalog record of one task.  probes maps each box-symmetry orbit
-    (min(m, n), |k|, max(m, n)) of the task's discriminant to its probe result.
+    """The catalog record of one form of discriminant delta.  probes maps each
+    box-symmetry orbit (min(m, n), |k|, max(m, n)) of delta to its probe result.
 
     x2 -> -x2 and x1 <-> x2 map the sample box and the search box onto
     themselves and turn (m, k, n) into (m, -k, n) and (n, k, m), so all forms
     of an orbit have the same sample values and represent the same products
     (on all of Z^2 for definite forms, inside the box for indefinite ones).
     """
-    delta, shape = task
     form = Form(*shape)
     report = full_classification(form)
     # a witness proves closure (ClassificationReport.has_witness); indefinite
@@ -308,16 +295,20 @@ def _catalog_record(task: _Task,
     })
 
 
-def _block_records(block: list[_Task]) -> Iterator[dict]:
-    """The records of one discriminant's tasks, yielded as they are computed."""
-    probes: dict[tuple[int, int, int], tuple[bool, int]] = {}
-    for task in block:
-        yield _catalog_record(task, probes)
-
-
-def _block_record_list(block: list[_Task]) -> list[dict]:
-    """_block_records as a list, which a pool worker can send back."""
-    return list(_block_records(block))
+def _catalog_records(dmin: int, dmax: int, box: int) -> Iterator[dict]:
+    """The record of each form of the window, yielded in canonical order as
+    it is computed; each discriminant's forms are enumerated when it is
+    reached, and share one orbit-probe dict."""
+    for delta in range(dmin, dmax + 1):
+        if delta == 0 or delta % 4 not in (0, 1):
+            continue
+        if delta < 0:
+            shapes = [f.coefficients() for f in reduced_forms(delta)]
+        else:
+            shapes = _positive_delta_forms(delta, box)
+        probes: dict[tuple[int, int, int], tuple[bool, int]] = {}
+        for shape in shapes:
+            yield _catalog_record(delta, shape, probes)
 
 
 _CSV_COLUMNS = [
@@ -372,33 +363,6 @@ def _bool_cell(value) -> str:
     return "true" if value else "false"
 
 
-def _worker_count() -> int:
-    # clamped to the CPUs: the pool forks every worker up front
-    raw = os.environ.get("NORMED_FORMS_THREADS", "")
-    try:
-        count = int(raw)
-    except ValueError:
-        return 1
-    return max(min(count, os.cpu_count() or 1), 1)
-
-
-def _catalog_records(tasks: list[_Task]) -> Iterator[dict]:
-    """The record of each task, yielded in task order as it is computed.
-
-    Work is split into one block per discriminant, so a pool sends the forms
-    of an orbit to one worker, where they share one probe.
-    """
-    blocks = [list(block) for _, block in groupby(tasks, key=itemgetter(0))]
-    workers = _worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(len(blocks) // (4 * workers), 1)
-            yield from chain.from_iterable(
-                pool.map(_block_record_list, blocks, chunksize=chunk))
-    else:
-        yield from chain.from_iterable(map(_block_records, blocks))
-
-
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.dmin > args.dmax:
         return _fail("--dmin must not exceed --dmax", 2)
@@ -411,7 +375,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     if max(abs(args.dmin), abs(args.dmax)) > MAX_CATALOG_DISCRIMINANT:
         return _fail("--dmin and --dmax must be at most "
                      f"{MAX_CATALOG_DISCRIMINANT} in absolute value", 2)
-    records = _catalog_records(_catalog_tasks(args.dmin, args.dmax, args.box))
+    records = _catalog_records(args.dmin, args.dmax, args.box)
     if args.format == "jsonl":
         lines = (json.dumps(r, sort_keys=True) + "\n" for r in records)
     else:

@@ -191,16 +191,15 @@ def induced_pairing(
     parameters: PlusParams(det(A)/r, tr(A), r, 0, 1) for k <= 3, or
     Quadruple(-tr A, 0, -r, -(tr(A)^2 - det A)/r) for k = 4.  The
     reconstruction through make_plus / make_minus_minus is verified
-    entry by entry before returning.
+    entry by entry before returning.  The four basis products that build
+    the pairing are the stability check: ValueError when one leaves the plane.
     """
-    if not check_stability(lat, k):
-        raise ValueError("sublattice is not stable under the requested pairing")
     r = lat.r
 
     def coordinates(x: Vec2, y: Vec2) -> Vec2:
         coords = lat.coordinates(matrix_pair(k, lat.phi(x), lat.phi(y)))
         if coords is None or coords[0].denominator != 1 or coords[1].denominator != 1:
-            raise ArithmeticError("stable sublattice produced non-integral coordinates")
+            raise ValueError("sublattice is not stable under the requested pairing")
         return int(coords[0]), int(coords[1])
 
     pairing = Pairing.from_bilinear(coordinates)

@@ -12,7 +12,7 @@ import pytest
 
 import normed_forms
 from normed_forms import Form, PlusParams, Quadruple, cli, full_classification
-from normed_forms.cli import _decimal, _worker_count, main
+from normed_forms.cli import _decimal, main
 
 
 def run(capsys, argv):
@@ -235,14 +235,15 @@ def test_usage_errors_exit_two(capsys):
 
 def test_oversized_searches_exit_two(capsys, monkeypatch):
     """Positive definite forms whose minus-minus scan would solve more than
-    MAX_CLASSIFY_BOX rows, and catalog windows beyond
-    MAX_CATALOG_DISCRIMINANT, exit 2 before any search."""
+    MAX_CLASSIFY_BOX rows, indefinite forms whose plus search would
+    trial-divide their content beyond MAX_CLASSIFY_BOX, and catalog windows
+    beyond MAX_CATALOG_DISCRIMINANT, exit 2 before any search."""
     # the largest classify-big forms (amax about 330) stay accepted
     code, out, _ = run(capsys, ["classify", "100000", "50000", "100000"])
     assert code == 0 and json.loads(out)["minus_decision"] == "decided"
     # any search would now fail
     monkeypatch.setattr(cli, "full_classification", None)
-    monkeypatch.setattr(cli, "_catalog_tasks", None)
+    monkeypatch.setattr(cli, "_catalog_records", None)
     cap = cli.MAX_CLASSIFY_BOX
     # (10^30, 0, 10^30) has amax = 10^15; (2.5e11, 1, 2.5e11 + 1) has
     # amax = 500000, one row over the cap
@@ -251,6 +252,13 @@ def test_oversized_searches_exit_two(capsys, monkeypatch):
         code, out, err = run(capsys, ["classify", *map(str, shape)])
         assert (code, out) == (2, "")
         assert err == (f"error: the minus-minus search would solve {rows} rows, "
+                       f"more than {cap}\n")
+    # indefinite forms of content 10^30 and (cap + 1)^2, whose square roots
+    # bound the plus search's divisor loop
+    for content, root in ((10**30, 10**15), ((cap + 1) ** 2, cap + 1)):
+        code, out, err = run(capsys, ["classify", str(content), "0", str(-content)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: the plus search would trial-divide up to {root}, "
                        f"more than {cap}\n")
     window_cap = cli.MAX_CATALOG_DISCRIMINANT
     message = (f"error: --dmin and --dmax must be at most {window_cap} "
@@ -285,16 +293,12 @@ def test_catalog_jsonl_window(capsys):
     assert witness["order3"] == "order-3"
 
 
-def test_catalog_deterministic_across_workers(capsys, monkeypatch, tmp_path):
-    """Byte-identical output for repeated runs and any worker count."""
+def test_catalog_deterministic_and_out_file(capsys, tmp_path):
+    """Byte-identical output for repeated runs, on stdout and in --out."""
     args = ["catalog", "--dmin", "-30", "--dmax", "-20"]
     _, first, _ = run(capsys, args)
     _, second, _ = run(capsys, args)
     assert first == second
-    monkeypatch.setenv("NORMED_FORMS_THREADS", "3")
-    _, parallel, _ = run(capsys, args)
-    assert parallel == first
-    monkeypatch.delenv("NORMED_FORMS_THREADS")
     out_path = tmp_path / "window.jsonl"
     code, stdout, _ = run(capsys, args + ["--out", str(out_path)])
     assert code == 0 and stdout == ""
@@ -302,21 +306,32 @@ def test_catalog_deterministic_across_workers(capsys, monkeypatch, tmp_path):
 
 
 def test_catalog_streams_records(monkeypatch):
-    """Each record reaches stdout before the next task is computed."""
-    tasks = cli._catalog_tasks(-30, -20, 12)
+    """Each record reaches stdout before the next one is computed, and each
+    discriminant's records reach it before the next discriminant's forms are
+    enumerated."""
     out = io.StringIO()
-    written_before = []
-    compute = cli._catalog_record
+    events = []
+    compute, enumerate_forms = cli._catalog_record, cli.reduced_forms
 
-    def record(task, probes):
-        written_before.append(out.getvalue().count("\n"))
-        return compute(task, probes)
+    def record(delta, shape, probes):
+        events.append(("record", delta, out.getvalue().count("\n")))
+        return compute(delta, shape, probes)
+
+    def forms(delta):
+        events.append(("forms", delta, out.getvalue().count("\n")))
+        return enumerate_forms(delta)
 
     monkeypatch.setattr(cli, "_catalog_record", record)
+    monkeypatch.setattr(cli, "reduced_forms", forms)
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["catalog", "--dmin", "-30", "--dmax", "-20"]) == 0
-    assert written_before == list(range(len(tasks)))
-    assert out.getvalue().count("\n") == len(tasks)
+    expected, written = [], 0
+    for delta, count in ((-28, 1), (-27, 1), (-24, 2), (-23, 3), (-20, 2)):
+        expected.append(("forms", delta, written))
+        expected.extend(("record", delta, written + i) for i in range(count))
+        written += count
+    assert events == expected
+    assert out.getvalue().count("\n") == written
 
 
 # one probe per orbit; the two windows have 24 and 16 witness-free records
@@ -329,7 +344,6 @@ def test_catalog_probes_only_without_certificate(capsys, monkeypatch, window, pr
     probe; every other record takes the fields of one probe per box-symmetry
     orbit (min(m, n), |k|, max(m, n)) of its discriminant, run on the orbit's
     first form, and they equal a direct probe of the record's own form."""
-    monkeypatch.delenv("NORMED_FORMS_THREADS", raising=False)
     probed = []
     probe = cli.semigroup_probe
 
@@ -360,34 +374,6 @@ def test_catalog_probes_only_without_certificate(capsys, monkeypatch, window, pr
             direct.counterexample_count == 0 if direct.decided else None)
     assert probed == expected
     assert len(probed) == probe_count
-
-
-@pytest.mark.parametrize("window", [
-    ("--dmin", "-400", "--dmax", "-3"),
-    ("--dmin", "5", "--dmax", "24", "--box", "8"),
-])
-def test_catalog_pool_bytes_pinned(capsys, monkeypatch, window):
-    """A pool of two workers, which takes one block per discriminant, prints
-    the serial bytes."""
-    monkeypatch.setenv("NORMED_FORMS_THREADS", "2")
-    code, out, _ = run(capsys, ["catalog", *window])
-    assert code == 0
-    assert hashlib.sha1(out.encode()).hexdigest() == CATALOG_SHA1[window]
-
-
-def test_worker_count_is_clamped(monkeypatch):
-    """NORMED_FORMS_THREADS yields between one worker and one per CPU.
-
-    Only the count is computed; no pool is started.
-    """
-    cpus = os.cpu_count() or 1
-    cases = [("1000000", cpus), ("2", min(2, cpus)), ("1", 1), ("0", 1),
-             ("-5", 1), ("many", 1), ("", 1)]
-    for raw, expected in cases:
-        monkeypatch.setenv("NORMED_FORMS_THREADS", raw)
-        assert _worker_count() == expected
-    monkeypatch.delenv("NORMED_FORMS_THREADS")
-    assert _worker_count() == 1
 
 
 def test_catalog_csv_schema(capsys):
@@ -512,6 +498,22 @@ def test_catalog_bytes_pinned(capsys, window):
     assert hashlib.sha1(out.encode()).hexdigest() == CATALOG_SHA1[window]
 
 
+@pytest.mark.parametrize("shards, window", [
+    ((("-400", "-201"), ("-200", "-3")), ("--dmin", "-400", "--dmax", "-3")),
+    ((("5", "13"), ("14", "24")), ("--dmin", "5", "--dmax", "24", "--box", "8")),
+])
+def test_catalog_shards_concatenate(capsys, shards, window):
+    """Adjacent sub-windows, run separately, concatenate to the full
+    window's pinned JSON-lines bytes."""
+    out = ""
+    for dmin, dmax in shards:
+        code, shard, _ = run(capsys, ["catalog", "--dmin", dmin, "--dmax", dmax,
+                                      *window[4:]])
+        assert code == 0 and shard
+        out += shard
+    assert hashlib.sha1(out.encode()).hexdigest() == CATALOG_SHA1[window]
+
+
 def test_decimal_renders_only_ints():
     """Ints at any depth become decimal strings; nothing else changes."""
     value = {"b": True, "f": False, "none": None, "s": "x", "big": -10**40,
@@ -527,7 +529,6 @@ def run_module(*argv):
     """Run python -m normed_forms in a fresh interpreter; (exit code, stdout)."""
     src = os.path.dirname(os.path.dirname(normed_forms.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("NORMED_FORMS_THREADS", None)
     done = subprocess.run([sys.executable, "-m", "normed_forms", *argv],
                           capture_output=True, env=env, timeout=120)
     return done.returncode, done.stdout

@@ -174,7 +174,7 @@ def test_induced_pairing_adjugate_product():
 def test_induced_pairing_requires_stability():
     """An unstable plane has no induced pairing."""
     sub = Sublattice(((1, 2), (3, 4)), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not stable under the requested pairing"):
         induced_pairing(sub, 4)
 
 
