@@ -150,8 +150,7 @@ def _scan_quadruples(
                 continue
             d = (a * a - m) // c
             b = (c * c - n) // a
-            if a * c - b * d != k:
-                continue
+            # f(c, -a) = m n now reduces to a c (a c - b d - k) = 0: k = a c - b d
         if abs(b) > bmax or abs(d) > dmax:
             continue
         quad = Quadruple(a, b, c, d)

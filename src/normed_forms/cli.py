@@ -311,56 +311,26 @@ def _catalog_records(dmin: int, dmax: int, box: int) -> Iterator[dict]:
             yield _catalog_record(delta, shape, probes)
 
 
-_CSV_COLUMNS = [
-    "delta",
-    "m",
-    "k",
-    "n",
-    "definiteness",
-    "plus_decision",
-    "plus_r",
-    "plus_p",
-    "plus_q",
-    "minus_decision",
-    "minus_a",
-    "minus_b",
-    "minus_c",
-    "minus_d",
-    "order3",
-    "semigroup_decided",
-    "semigroup_closed",
-]
+_CSV_COLUMNS = (
+    "delta m k n definiteness plus_decision plus_r plus_p plus_q minus_decision "
+    "minus_a minus_b minus_c minus_d order3 semigroup_decided semigroup_closed"
+).split()
 
 
 def _record_to_csv(record: dict) -> str:
+    """The record's row in _CSV_COLUMNS order: the form and both witnesses
+    flattened into their columns, None as an empty cell, bools as true/false."""
     plus = record["plus_witness"] or {}
-    minus = record["minus_witness"] or [""] * 4
+    minus = record["minus_witness"] or [None] * 4
     flat = {
-        "delta": record["delta"],
-        "m": record["form"][0],
-        "k": record["form"][1],
-        "n": record["form"][2],
-        "definiteness": record["definiteness"],
-        "plus_decision": record["plus_decision"],
-        "plus_r": plus.get("r", ""),
-        "plus_p": plus.get("p", ""),
-        "plus_q": plus.get("q", ""),
-        "minus_decision": record["minus_decision"],
-        "minus_a": minus[0],
-        "minus_b": minus[1],
-        "minus_c": minus[2],
-        "minus_d": minus[3],
-        "order3": record["order3"] or "",
-        "semigroup_decided": _bool_cell(record["semigroup_decided"]),
-        "semigroup_closed": _bool_cell(record["semigroup_closed"]),
+        **record,
+        **dict(zip("mkn", record["form"])),
+        **{f"plus_{key}": plus.get(key) for key in "rpq"},
+        **{f"minus_{key}": value for key, value in zip("abcd", minus)},
     }
-    return ",".join(flat[col] for col in _CSV_COLUMNS)
-
-
-def _bool_cell(value) -> str:
-    if value is None:
-        return ""
-    return "true" if value else "false"
+    cells = (flat[column] for column in _CSV_COLUMNS)
+    return ",".join("" if c is None else json.dumps(c) if isinstance(c, bool) else c
+                    for c in cells)
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:

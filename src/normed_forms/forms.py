@@ -25,6 +25,10 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 
+# a x1^2 + b x1 x2 + c x2^2 takes the values a, c and a + b + c here, so these
+# points fix a binary quadratic form: one that vanishes on all three is zero.
+QUADRATIC_POINTS: tuple[Vec2, Vec2, Vec2] = ((1, 0), (0, 1), (1, 1))
+
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
     return (

@@ -16,9 +16,10 @@ families below realize every combination of signs:
 * the minus-minus family takes an arbitrary integer quadruple (a, b, c, d)
   and is normed for (a^2 - c d, a c - b d, c^2 - a b).
 
-Whether a pairing is normed is decided exactly: the defect polynomial has
-degree at most 2 in each of the four variables, so vanishing on the grid
-{0, 1, 2}^4 proves the identity.
+Whether a pairing is normed is decided exactly on nine point pairs: s is
+bilinear, so the defect f(s(x, y)) - f(x) f(y) is a binary quadratic form in
+x for fixed y and in y for fixed x, and such a form is fixed by its values at
+the three points forms.QUADRATIC_POINTS.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .forms import DegenerateFormError, Form, Mat2, Vec2, is_scalar, mat_mul
+from .forms import (
+    QUADRATIC_POINTS, DegenerateFormError, Form, Mat2, Vec2, is_scalar, mat_det, mat_mul,
+)
 
 
 class PairingType(NamedTuple):
@@ -208,78 +211,49 @@ def quadruple_of(pairing: Pairing) -> Quadruple:
 def is_normed(pairing: Pairing, form: Form) -> bool:
     """Exact decision of f(s(x, y)) == f(x) f(y) as a polynomial identity.
 
-    The defect has degree <= 2 in each of x1, x2, y1, y2, so checking the 81
-    grid points {0, 1, 2}^4 decides it.
+    For fixed y the defect f(s(x, y)) - f(x) f(y) is a binary quadratic form
+    in x, since s is linear in x.  So when it vanishes for x and y in
+    QUADRATIC_POINTS, it vanishes for every x and those y; then, for each x,
+    it is a quadratic form in y vanishing on QUADRATIC_POINTS, hence zero.
+    The 3 x 3 point pairs decide the identity.
     """
-    (a, b), (c, d) = pairing.a1
-    (e, f), (g, h) = pairing.a2
-    m, k, n = form.m, form.k, form.n
-    grid = (0, 1, 2)
-    fy = {}
-    for y1 in grid:
-        for y2 in grid:
-            fy[y1, y2] = m * y1 * y1 + k * y1 * y2 + n * y2 * y2
-    for x1 in grid:
-        for x2 in grid:
-            fx = fy[x1, x2]
-            p1 = x1 * a + x2 * c
-            p2 = x1 * b + x2 * d
-            q1 = x1 * e + x2 * g
-            q2 = x1 * f + x2 * h
-            for y1 in grid:
-                for y2 in grid:
-                    z1 = p1 * y1 + p2 * y2
-                    z2 = q1 * y1 + q2 * y2
-                    if m * z1 * z1 + k * z1 * z2 + n * z2 * z2 != fx * fy[y1, y2]:
-                        return False
-    return True
-
-
-def _quadratic_coefficients(det_at) -> tuple[int, int, int]:
-    """Coefficients (c1, c12, c2) of a quadratic form from three evaluations."""
-    c1 = det_at((1, 0))
-    c2 = det_at((0, 1))
-    c12 = det_at((1, 1)) - c1 - c2
-    return c1, c12, c2
+    return all(
+        form(pairing(x, y)) == form(x) * form(y)
+        for x in QUADRATIC_POINTS
+        for y in QUADRATIC_POINTS
+    )
 
 
 def left_map_det(pairing: Pairing, y: Vec2) -> int:
     """det of the linear map x |-> s(x, y)."""
-    a1, a2 = pairing.a1, pairing.a2
-    y1, y2 = y
-    r1 = (a1[0][0] * y1 + a1[0][1] * y2, a1[1][0] * y1 + a1[1][1] * y2)
-    r2 = (a2[0][0] * y1 + a2[0][1] * y2, a2[1][0] * y1 + a2[1][1] * y2)
-    return r1[0] * r2[1] - r1[1] * r2[0]
+    return mat_det((pairing((1, 0), y), pairing((0, 1), y)))
 
 
 def right_map_det(pairing: Pairing, x: Vec2) -> int:
     """det of the linear map y |-> s(x, y)."""
-    a1, a2 = pairing.a1, pairing.a2
-    x1, x2 = x
-    r1 = (a1[0][0] * x1 + a1[1][0] * x2, a1[0][1] * x1 + a1[1][1] * x2)
-    r2 = (a2[0][0] * x1 + a2[1][0] * x2, a2[0][1] * x1 + a2[1][1] * x2)
-    return r1[0] * r2[1] - r1[1] * r2[0]
+    return mat_det((pairing(x, (1, 0)), pairing(x, (0, 1))))
 
 
 def type_of(pairing: Pairing, form: Form) -> PairingType:
     """The type (eps1; eps2) of a pairing normed for a nondegenerate form.
 
     eps1 is the constant sign of det(x |-> s(x, y)) / f(y); eps2 the same on
-    the other side.  Raises if the determinant polynomials are not exactly
-    +f or -f (the pairing is then not normed for this form, or degenerate
-    data was supplied).
+    the other side.  Each determinant is a quadratic form in the other
+    vector, so it is +f or -f exactly when it is at the three
+    QUADRATIC_POINTS, where f is not zero at all three.  Raises if a
+    determinant is neither +f nor -f (the pairing is then not normed for this
+    form, or degenerate data was supplied).
     """
     if form.discriminant() == 0:
         raise DegenerateFormError("pairing type requires a nondegenerate form")
-    target = form.coefficients()
-    neg_target = (-form).coefficients()
+    values = [form(v) for v in QUADRATIC_POINTS]
 
     signs = []
     for side, map_det in (("left", left_map_det), ("right", right_map_det)):
-        det = _quadratic_coefficients(lambda v: map_det(pairing, v))
-        if det == target:
+        dets = [map_det(pairing, v) for v in QUADRATIC_POINTS]
+        if dets == values:
             signs.append(1)
-        elif det == neg_target:
+        elif dets == [-value for value in values]:
             signs.append(-1)
         else:
             raise ValueError(f"{side} determinant is not +/- the form; pairing not normed")

@@ -7,7 +7,9 @@ bracket
 
 is integer-valued on integer vectors and satisfies
 f([x, y, e]) = f(x) f(y) f(e).  Internally everything runs on the doubled
-polarization (an integer matrix), with an exact final halving.
+polarization (an integer matrix), with an exact final halving.  The bracket
+is trilinear, so the identity is decided exactly on the 27 triples of the
+three points that fix a binary quadratic form (bracket_is_multiplicative).
 
 Anchoring the bracket at a base vector e0 with g(e0) = r != 0 produces three
 bilinear pairings normed for f = r*g; they coincide, matrix for matrix, with
@@ -16,7 +18,7 @@ the three plus-type families of make_plus.
 
 from __future__ import annotations
 
-from .forms import Form, Vec2
+from .forms import QUADRATIC_POINTS, Form, Vec2
 from .pairings import Pairing
 
 
@@ -45,44 +47,19 @@ def bracket(form: Form, x: Vec2, y: Vec2, e: Vec2) -> Vec2:
 def bracket_is_multiplicative(form: Form) -> bool:
     """Decide f([x, y, e]) == f(x) f(y) f(e) as a polynomial identity.
 
-    The defect polynomial has degree <= 2 in each of the six variables, so
-    the grid {0, 1, 2}^6 decides it exactly.  (The identity holds for every
-    integer form; this is the independent check.)
+    The bracket is trilinear, so the defect is a binary quadratic form in
+    each of x, y and e with the other two fixed.  A quadratic form vanishing
+    at the three QUADRATIC_POINTS is zero; fixing the vectors one at a time,
+    as for pairings.is_normed, the 27 triples of those points decide the
+    identity exactly.  (The identity holds for every integer form; this is
+    the independent check.)
     """
-    m, k, n = form.m, form.k, form.n
-    g11, g12, g22 = 2 * m, k, 2 * n
-    pts = [(x1, x2) for x1 in (0, 1, 2) for x2 in (0, 1, 2)]
-    npts = len(pts)
-    fvals = [m * p[0] * p[0] + k * p[0] * p[1] + n * p[1] * p[1] for p in pts]
-    pol = [
-        [
-            g11 * p[0] * q[0] + g12 * (p[0] * q[1] + p[1] * q[0]) + g22 * p[1] * q[1]
-            for q in pts
-        ]
-        for p in pts
-    ]
-    for i in range(npts):
-        xi = pts[i]
-        fx = fvals[i]
-        poli = pol[i]
-        for j in range(npts):
-            yj = pts[j]
-            fxy = fx * fvals[j]
-            txy = poli[j]
-            polj = pol[j]
-            for l in range(npts):
-                e = pts[l]
-                txe = poli[l]
-                tye = polj[l]
-                w1 = -txy * e[0] + txe * yj[0] + tye * xi[0]
-                w2 = -txy * e[1] + txe * yj[1] + tye * xi[1]
-                if w1 % 2 or w2 % 2:
-                    return False
-                w1 //= 2
-                w2 //= 2
-                if m * w1 * w1 + k * w1 * w2 + n * w2 * w2 != fxy * fvals[l]:
-                    return False
-    return True
+    return all(
+        form(bracket(form, x, y, e)) == form(x) * form(y) * form(e)
+        for x in QUADRATIC_POINTS
+        for y in QUADRATIC_POINTS
+        for e in QUADRATIC_POINTS
+    )
 
 
 def anchored_pairings(

@@ -204,6 +204,6 @@ def test_pairing_is_bilinear(a, b, c, d, e, f, g, h, x, y, z):
 @given(st.sampled_from([1, 2, 3]), params_st, vec, vec)
 @settings(max_examples=60)
 def test_normed_identity_pointwise(variant, params, x, y):
-    """f(s(x, y)) = f(x) f(y) on sampled points, beyond the deciding grid."""
+    """f(s(x, y)) = f(x) f(y) on sampled points, beyond the deciding points."""
     s, f = make_plus(variant, params)
     assert f(s(x, y)) == f(x) * f(y)

@@ -66,7 +66,7 @@ def test_bracket_symmetric_in_first_two(m, k, n, x, y, e):
 
 @given(coeff, coeff, coeff)
 def test_bracket_multiplicativity_grid_check(m, k, n):
-    """The deciding grid check accepts every integer form."""
+    """The three-point decision accepts every integer form."""
     assert bracket_is_multiplicative(Form(m, k, n))
 
 
