@@ -16,7 +16,8 @@ Output bytes are deterministic for fixed inputs and flags; wall-clock timing
 is only attached when --timing is passed, and never in catalog records.
 
 Exit codes: 0 success, 1 verification negative, 2 input error,
-3 inconclusive under --strict, 4 I/O failure.
+3 inconclusive under --strict, 4 I/O failure (a reader that closes stdout
+early, as `| head` does, included; it exits quietly).
 
 The catalog command writes records to stdout one by one as they are computed,
 in canonical order (ascending discriminant, then enumeration order of the
@@ -449,7 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`catalog ... | head -1`): an I/O failure.
+        # stdout goes to devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
+    return status
 
 
 if __name__ == "__main__":

@@ -305,18 +305,35 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     property; for indefinite forms the report is advisory only (decided is
     False).
 
-    Most products that are not values are rejected without a search, by one
-    genus character per odd prime p | D (D the discriminant).  If p does not
-    divide m, then 4m*f(x) = (2m*x1 + k*x2)^2 - D*x2^2, so f(x) = t with p not
-    dividing t forces (t/p) = (m/p); if p | m but not n, the same follows
-    from 4n*f(x) = (k*x1 + 2n*x2)^2 - D*x1^2 with n in place of m.  A product
-    t = u*v of two values with p not dividing t then has
-    (t/p) = (m/p)^2 = 1, so when (m/p) = -1 it is not a value of f anywhere
-    on Z^2, definite or not.  With P the product of such primes (see
-    _nonresidue_primes), t % P != 0 proves that t is not representable, so a
-    box search can never disagree.  Any subset of these primes is sound, so
-    the trial division of D stops at the number of rows one search of the
-    largest product would visit.
+    Most products are decided without a search.  t = 0 is f(0, 0).  The
+    genus rule: take an odd prime p | D (D the discriminant) with e = v_p(D)
+    and a = m, or a = n when p | m, such that (a/p) = -1 (see
+    _nonresidue_primes).  Then 4a*f(x) = X^2 - D*Y^2 with X = 2m*x1 + k*x2,
+    Y = x2 (or X = k*x1 + 2n*x2, Y = x1 when a = n).  Let t = f(x) != 0 and
+    t = p^j * t' with p not dividing t'; p does not divide 4a, so
+    v_p(4a*t) = j.  If v_p(X^2) < v_p(D*Y^2), then j = 2*v_p(X) is even and
+    4a*t' = (X / p^(j/2))^2 mod p, so (t'/p) = (a/p) = -1.  Otherwise
+    j >= v_p(D*Y^2) >= e.  So a value with j < e has j even and
+    (t'/p) = -1.  A product t = u*v of two values with p^e not dividing t
+    has j < e for u and v too, so j is even and (t'/p) = (-1)^2 = 1: t is
+    not a value.  When e is odd, v_p(X^2) and v_p(D*Y^2) differ in parity,
+    so a value with even j has (t'/p) = -1 as above, and one with odd j has
+    j = v_p(D*Y^2) = e + 2i (i = v_p(Y)) and 4a*t' = -D'*(Y/p^i)^2 mod p
+    with D' = D/p^e, so (t'/p) = (-a*D'/p) = c, the same c = +-1 for every
+    odd-j value.  A product of two values then has even j and
+    (t'/p) = 1 != -1, or odd j and (t'/p) = -c != c, so no nonzero product
+    is a value.  With P the product of the p^e, t % P != 0 proves that t
+    is not a value, and an odd e rules out every t != 0.  These facts hold
+    on all of Z^2, definite or not, so a box search can never disagree.
+    Any subset of the primes is sound, so the trial division of D stops at
+    the number of rows one search of the largest product would visit.
+
+    Square scaling, definite forms only: f(2w) = 4f(w) and f(3w) = 9f(w),
+    so t is a value when t/4 or t/9 is already known to be one.  The values
+    are walked in ascending |u|, so those smaller products mostly come
+    first; a lookup that finds nothing falls back to the search.  represent
+    is exact on Z^2 only for definite forms; an indefinite box search can
+    find w but miss 2w outside the box.
     """
     disc = form.discriminant()
     if disc == 0:
@@ -332,15 +349,27 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
         cap = isqrt(4 * form.m * top * top // -disc) + 1
     else:
         cap = search_bound + 1
-    modulus = prod(_nonresidue_primes(form, disc, cap))
+    ramified = _nonresidue_primes(form, disc, cap)
+    odd_exponent = any(e % 2 for _, e in ramified)
+    modulus = prod(p ** e for p, e in ramified)
     representable: dict[int, bool] = {}
     count = 0
-    for u, v in combinations_with_replacement(mult, 2):
+    # ascending |u|, so that t/4 and t/9 are mostly decided before t
+    for u, v in combinations_with_replacement(sorted(mult, key=abs), 2):
         t = u * v
-        if t not in representable:
-            representable[t] = (t % modulus == 0
-                                and form.represent(t, search_bound) is not None)
-        if not representable[t]:
+        found = representable.get(t)
+        if found is None:
+            if t == 0:  # f(0, 0)
+                found = True
+            elif odd_exponent or t % modulus:  # the genus rule
+                found = False
+            elif disc < 0 and (t % 4 == 0 and representable.get(t // 4)
+                               or t % 9 == 0 and representable.get(t // 9)):
+                found = True  # square scaling
+            else:
+                found = form.represent(t, search_bound) is not None
+            representable[t] = found
+        if not found:
             count += mult[u] * mult[v] * (1 if u == v else 2)
     misses = ((x, y) for x in values for y in values
               if not representable[values[x] * values[y]])
@@ -357,12 +386,15 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     )
 
 
-def _nonresidue_primes(form: Form, disc: int, cap: int) -> list[int]:
-    """The odd primes p | disc with (a/p) = -1, where a is m, or n when p | m.
+def _nonresidue_primes(form: Form, disc: int, cap: int) -> list[tuple[int, int]]:
+    """(p, e) for the odd primes p | disc with (a/p) = -1, where a is m, or n
+    when p | m, and e = v_p(disc).
 
     Primes dividing both m and n are never returned.  Trial division stops
     once p exceeds cap; a cofactor left then is not known to be prime and is
-    dropped, so primes of disc above cap may be missing, never wrong.
+    dropped, so primes of disc above cap may be missing, never wrong.  Each
+    prime found is divided out fully, so its e is exact; a prime cofactor
+    has no smaller factor, so its e is 1.
     """
     rest = abs(disc)
     while rest % 2 == 0:
@@ -371,14 +403,16 @@ def _nonresidue_primes(form: Form, disc: int, cap: int) -> list[int]:
     p = 3
     while p * p <= rest and p <= cap:
         if rest % p == 0:
+            e = 0
             while rest % p == 0:
                 rest //= p
-            odd_primes.append(p)
+                e += 1
+            odd_primes.append((p, e))
         p += 2
     if 1 < rest < p * p:  # no odd factor below sqrt(rest): rest is prime
-        odd_primes.append(rest)
+        odd_primes.append((rest, 1))
     # Euler's criterion; a prime dividing both m and n gives 0, not p - 1
-    return [p for p in odd_primes
+    return [(p, e) for p, e in odd_primes
             if pow(form.m if form.m % p else form.n, (p - 1) // 2, p) == p - 1]
 
 

@@ -525,13 +525,33 @@ def test_decimal_renders_only_ints():
     }
 
 
+def module_command(*argv):
+    """The argv and environment of python -m normed_forms on this package."""
+    src = os.path.dirname(os.path.dirname(normed_forms.__file__))
+    return [sys.executable, "-m", "normed_forms", *argv], {**os.environ, "PYTHONPATH": src}
+
+
 def run_module(*argv):
     """Run python -m normed_forms in a fresh interpreter; (exit code, stdout)."""
-    src = os.path.dirname(os.path.dirname(normed_forms.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-m", "normed_forms", *argv],
-                          capture_output=True, env=env, timeout=120)
+    command, env = module_command(*argv)
+    done = subprocess.run(command, capture_output=True, env=env, timeout=120)
     return done.returncode, done.stdout
+
+
+def test_catalog_into_closed_pipe_exits_four():
+    """A reader that leaves after one line, as in `catalog ... | head -1`, is
+    an I/O failure: exit 4 and no traceback.  The window's 1108 records are
+    far more than a pipe buffers, so the writer meets the closed pipe."""
+    command, env = module_command("catalog", "--dmin", "-400", "--dmax", "-3")
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as process:
+        first = json.loads(process.stdout.readline())
+        process.stdout.close()
+        stderr = process.stderr.read()
+        code = process.wait(timeout=120)
+    assert first["delta"] == "-400"
+    assert code == 4
+    assert stderr == b""
 
 
 def test_module_entry_point_exit_codes():

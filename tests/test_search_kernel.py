@@ -323,8 +323,9 @@ def test_large_definite_witness_search_budget():
 
 
 def nonresidue_oracle(form: Form):
-    """The odd primes p | D with a non-square a mod p, a = m, or n when p | m,
-    by trial division and by listing the squares mod p."""
+    """(p, e) for the odd primes p | D with a non-square a mod p, a = m, or n
+    when p | m, and p^e the largest power of p dividing D, by trial division
+    and by listing the squares mod p."""
     d = abs(form.discriminant())
     found = []
     for p in range(3, d + 1, 2):
@@ -332,7 +333,7 @@ def nonresidue_oracle(form: Form):
             continue
         a = form.m if form.m % p else form.n
         if a % p and all((x * x - a) % p for x in range(p)):
-            found.append(p)
+            found.append((p, max(e for e in range(1, d.bit_length()) if d % p**e == 0)))
     return found
 
 
@@ -347,34 +348,67 @@ def nonresidue_oracle(form: Form):
 @example(Form(4, 0, 6), [(1, 0), (0, 1)], 0)
 @example(Form(10, 10, 10), [(1, 0), (1, 1)], 0)
 @example(Form(10, 6, 10), [(1, 0)], 3)  # cap 3 leaves the composite 91 = 7 * 13
+@example(Form(1, 0, 9), [(1, 0), (0, 1), (1, 1)], 0)  # 3^2 | D, but (1/3) = 1
+@example(Form(1, 1, 7), [(1, 0), (0, 1), (1, 1)], 0)  # 3^3 | D, but (1/3) = 1
+@example(Form(2, 0, -9), [(1, 0), (0, 1), (1, 1)], 0)  # e = 2 at p = 3, indefinite
+@example(Form(2, 0, 9), [(1, 0), (0, 1), (1, 1)], 0)  # e = 2 at p = 3, definite
+@example(Form(9, 3, 2), [(1, 0), (0, 1), (1, -1)], 0)  # p = 3 | m, so a = n
+@example(Form(2, 0, 27), [(1, 0), (0, 1), (1, 1)], 0)  # e = 3: no nonzero product
+@example(Form(2, 0, -27), [(1, 0), (0, 1), (1, 1)], 0)
 def test_nonresidue_products_are_never_values(form, points, cap):
-    """For each prime the helper returns, a product of two values that the
-    prime does not divide is found by no search.  A cap only drops primes."""
+    """Each (p, e) the helper returns obeys the valuation rule on the box's
+    values t = p^j * t': j < e forces j even and t' a non-square mod p, and
+    for odd e the values with odd j share one character of t'.  So a product
+    of two values is found by no search when p^e does not divide it, nor at
+    all when e is odd.  A cap only drops primes."""
     disc = form.discriminant()
-    primes = _nonresidue_primes(form, disc, abs(disc))
-    assert primes == nonresidue_oracle(form)
-    assert set(_nonresidue_primes(form, disc, cap)) <= set(primes)
+    ramified = _nonresidue_primes(form, disc, abs(disc))
+    assert ramified == nonresidue_oracle(form)
+    assert set(_nonresidue_primes(form, disc, cap)) <= set(ramified)
     box = range(-6, 7)
     box_values = {form((x1, x2)) for x1 in box for x2 in box}
-    for p in primes:
+    for p, e in ramified:
+        squares = {x * x % p for x in range(p)}
+        odd_characters = set()
+        for t in box_values - {0}:
+            j = 0
+            while t % p == 0:
+                t //= p
+                j += 1
+            square = t % p in squares
+            if j < e or e % 2 and j % 2 == 0:
+                assert j % 2 == 0 and not square
+            elif e % 2:
+                odd_characters.add(square)
+        assert len(odd_characters) <= 1
         for x, y in product(points, repeat=2):
             t = form(x) * form(y)
-            if t % p:
+            if t and (e % 2 or t % p**e):
                 assert t not in box_values
                 assert form.represent(t, 6) is None
                 assert represent_oracle(form, t, 6) is None
 
 
 def test_probe_matches_oracle_on_reduced_forms():
-    """Every reduced form with -200 <= D <= -3, at the default bounds."""
+    """Every reduced form with -400 <= D <= -3, at the default bounds."""
     checked = 0
-    for delta in range(-200, -2):
+    for delta in range(-400, -2):
         if delta % 4 not in (0, 1):
             continue
         for form in reduced_forms(delta):
             assert semigroup_probe(form) == probe_oracle(form, 3, 100, 20)
             checked += 1
-    assert checked == 387
+    assert checked == 1108
+
+
+def test_probe_skips_square_scaling_on_indefinite_forms():
+    """Scaling by 4 would be wrong inside a box: for (-4, -4, 1) with
+    |xi| <= 2, -16 = f(-2, 0) = f(1, 0) * f(0, 2) is found, but
+    -64 = f(2, 0) * f(0, 2) is not, although -64 = f(4, 0)."""
+    form = Form(-4, -4, 1)
+    assert form.represent(-16, 2) == (-2, 0)
+    assert form.represent(-64, 2) is None
+    assert semigroup_probe(form, 2, 2) == probe_oracle(form, 2, 2, 20)
 
 
 def test_nonresidue_prime_search_is_capped():
