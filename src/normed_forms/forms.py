@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
@@ -59,6 +59,27 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def hnf_rows(rows: Iterable[Vec2]) -> tuple[int, int, int]:
+    """(r, a, b): the Hermite basis (r, 0), (a, b) of the Z-span of integer rows.
+
+    b > 0 and 0 <= a < r (H. Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4.2).  A row (x, y) with y != 0 is folded into (a, b) by
+    the determinant -1 matrix [[s, t], [y/g, -b/g]], s b + t y = g, which
+    leaves (s a + t x, g) and the row ((y a - b x)/g, 0).  ValueError when
+    the rows have rank < 2.
+    """
+    r = a = b = 0
+    for x, y in rows:
+        if y == 0:
+            r = gcd(r, x)
+            continue
+        g, s, t = ext_gcd(b, y)
+        a, b, r = s * a + t * x, g, gcd(r, (y // g) * a - (b // g) * x)
+    if r == 0 or b == 0:
+        raise ValueError("rows span a lattice of rank < 2")
+    return r, a % r, b
 
 
 def exact_sqrt(x: int | Fraction) -> int | Fraction | None:

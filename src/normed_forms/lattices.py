@@ -9,9 +9,12 @@ and trace = 2u, both exact Fractions.
 A lattice is the Z-span of two independent elements.  Every such lattice has
 a unique canonical basis (r, zeta): r is the least positive rational it
 contains, zeta = u + v tau has the least positive v, and u is reduced into
-the balanced range (-r/2, r/2].  Lattices are compared through this canonical
-form, while the constructor preserves whatever ordered basis it was given
-(so a basis found by embed_form still reads off the intended form).
+the balanced range (-r/2, r/2].  It is the Hermite normal form
+(forms.hnf_rows) of the generators' (u, v) rows scaled by their common
+denominator, with the residue of u then balanced.  Lattices are compared
+through this canonical form, while the constructor preserves whatever
+ordered basis it was given (so a basis found by embed_form still reads off
+the intended form).
 
 The four multiplicative couplings are
 
@@ -32,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import forms as _forms
-from .forms import DegenerateFormError, Definiteness, Form, _row_solutions, exact_sqrt, ext_gcd
+from .forms import DegenerateFormError, Definiteness, Form, _row_solutions, exact_sqrt, hnf_rows
 from .matembed import Sublattice
 
 Rational = int | Fraction
@@ -162,40 +165,14 @@ def sigma(k: int, z: QuadElem, w: QuadElem) -> QuadElem:
 def _canonical_data(gens) -> tuple[Fraction, Fraction, Fraction]:
     """Canonical (r, u_zeta, v_zeta) of the Z-span of the given elements.
 
-    Raises when the span has rank < 2.
+    The Hermite basis of the integer rows den * (u, v), with the residue of
+    u balanced into (-r/2, r/2].  Raises when the span has rank < 2.
     """
-    den = 1
-    for g in gens:
-        den = den * g.u.denominator // gcd(den, g.u.denominator)
-        den = den * g.v.denominator // gcd(den, g.v.denominator)
-    rows = [(int(g.u * den), int(g.v * den)) for g in gens]
-
-    cur: tuple[int, int] | None = None
-    rationals: list[int] = []
-    for a, b in rows:
-        if b == 0:
-            rationals.append(a)
-            continue
-        if cur is None:
-            cur = (a, b)
-            continue
-        a1, b1 = cur
-        g, s, t = ext_gcd(b1, b)
-        # unimodular 2x2 change of basis: det [[s, t], [b/g, -b1/g]] = -1
-        cur = (s * a1 + t * a, g)
-        rationals.append((b // g) * a1 - (b1 // g) * a)
-    if cur is None:
-        raise ValueError("generators span no tau direction; rank < 2")
-    if cur[1] < 0:
-        cur = (-cur[0], -cur[1])
-    r0 = gcd(*rationals) if rationals else 0
-    if r0 == 0:
-        raise ValueError("generators contain no nonzero rational; rank < 2")
-    # balanced residue of the rational part of zeta
-    u0 = cur[0] % r0
-    if 2 * u0 > r0:
-        u0 -= r0
-    return Fraction(r0, den), Fraction(u0, den), Fraction(cur[1], den)
+    den = lcm(*(q.denominator for g in gens for q in (g.u, g.v)))
+    r, u, v = hnf_rows((int(g.u * den), int(g.v * den)) for g in gens)
+    if 2 * u > r:
+        u -= r
+    return Fraction(r, den), Fraction(u, den), Fraction(v, den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +193,6 @@ class Lattice:
     def __post_init__(self) -> None:
         if self.e1.ctx != self.ctx or self.e2.ctx != self.ctx:
             raise ValueError("generators from a different context")
-        if self.e1.u * self.e2.v - self.e2.u * self.e1.v == 0:
-            raise ValueError("generators are linearly dependent")
         object.__setattr__(self, "_canon", _canonical_data([self.e1, self.e2]))
 
     def __eq__(self, other) -> bool:

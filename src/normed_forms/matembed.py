@@ -20,10 +20,9 @@ an instance of the plus families (k = 1, 2, 3) or of the minus-minus family
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .forms import Form, Mat2, Vec2, ext_gcd, is_scalar, mat_det, mat_mul
+from .forms import Form, Mat2, Vec2, hnf_rows, is_scalar, mat_det, mat_mul
 from .pairings import (
     Pairing,
     PlusParams,
@@ -35,6 +34,11 @@ from .pairings import (
 
 def mat_trace(a: Mat2) -> int:
     return a[0][0] + a[1][1]
+
+
+def _off_scalar(a: Mat2) -> tuple[int, int, int]:
+    """(A12, A21, A11 - A22): zero exactly when A is scalar."""
+    return (a[0][1], a[1][0], a[0][0] - a[1][1])
 
 
 def adjugate(a: Mat2) -> Mat2:
@@ -81,30 +85,18 @@ class Sublattice:
         """det(x1 A + x2 rE) = (det A, r tr A, r^2) as a form."""
         return Form(mat_det(self.a), self.r * mat_trace(self.a), self.r * self.r)
 
-    def coordinates(self, x: Mat2) -> tuple[Fraction, Fraction] | None:
-        """Solve x = c1 A + c2 rE over Q; None when x is outside the plane."""
-        a, r = self.a, self.r
-        if a[0][1] != 0:
-            c1 = Fraction(x[0][1], a[0][1])
-        elif a[1][0] != 0:
-            c1 = Fraction(x[1][0], a[1][0])
-        else:
-            # A is diagonal and non-scalar, so the diagonal gap is nonzero
-            c1 = Fraction(x[0][0] - x[1][1], a[0][0] - a[1][1])
-        c2 = (Fraction(x[0][0]) - c1 * a[0][0]) / r
-        # verify all four entries
-        if (
-            c1 * a[0][1] == x[0][1]
-            and c1 * a[1][0] == x[1][0]
-            and c1 * a[0][0] + c2 * r == x[0][0]
-            and c1 * a[1][1] + c2 * r == x[1][1]
-        ):
-            return c1, c2
-        return None
+    def coordinates(self, x: Mat2) -> Vec2 | None:
+        """Integer (c1, c2) with x = c1 A + c2 rE, or None when x is not in the lattice.
+
+        c1 comes from the first nonzero off-scalar entry of A (A is not
+        scalar), c2 from x11; phi of the candidate must give back x.
+        """
+        c1 = next(xe // ae for xe, ae in zip(_off_scalar(x), _off_scalar(self.a)) if ae)
+        c2 = (x[0][0] - c1 * self.a[0][0]) // self.r
+        return (c1, c2) if self.phi((c1, c2)) == x else None
 
     def contains(self, x: Mat2) -> bool:
-        coords = self.coordinates(x)
-        return coords is not None and coords[0].denominator == 1 and coords[1].denominator == 1
+        return self.coordinates(x) is not None
 
 
 def check_stability(lat: Sublattice, k: int) -> bool:
@@ -129,53 +121,28 @@ def canonicalize(gen1: Mat2, gen2: Mat2, k: int) -> Sublattice:
     matrix (automatic for stable non-null sublattices), and to be stable
     under S_k.  The canonical A has its first nonzero value among
     (A12, A21, A11 - A22) positive and A11 reduced into [0, r).
+
+    The span holds a nonzero scalar iff the off-scalar parts
+    (X12, X21, X11 - X22) of the generators lie on one line, with primitive
+    direction w whose first nonzero entry is positive.  Then X -> (X11, t),
+    where t w is the off-scalar part of X, is injective on the span, rE maps
+    to (r, 0), and the Hermite basis (r, 0), (a, b) gives back A.
     """
-    # find the primitive (c1, c2) with c1 gen1 + c2 gen2 scalar
-    constraints = [
-        (gen1[0][1], gen2[0][1]),
-        (gen1[1][0], gen2[1][0]),
-        (gen1[0][0] - gen1[1][1], gen2[0][0] - gen2[1][1]),
-    ]
-    line: tuple[int, int] | None = None  # primitive direction, or None for all of Z^2
-    for alpha, beta in constraints:
-        if alpha == 0 and beta == 0:
-            continue
-        g = gcd(alpha, beta)
-        direction = (beta // g, -alpha // g)
-        if line is None:
-            line = direction
-        elif alpha * line[0] + beta * line[1] != 0:
-            raise ValueError("span contains no nonzero scalar matrix")
-    if line is None:
-        # both generators already scalar: rank <= 1
+    parts = [_off_scalar(gen1), _off_scalar(gen2)]
+    lead = next((p for p in parts if any(p)), None)
+    if lead is None:
         raise ValueError("generators span a line of scalars, not a rank-2 lattice")
-    w1, w2 = line
-    lam = w1 * gen1[0][0] + w2 * gen2[0][0]
-    if lam == 0:
-        raise ValueError("generators are linearly dependent")
-    # complete (w1, w2) to a unimodular matrix: u1 w2 - u2 w1 = 1
-    g, u1, u2 = ext_gcd(w2, -w1)
-    if g != 1:
-        raise ValueError("direction vector is not primitive")
-    a = tuple(
-        tuple(u1 * gen1[i][j] + u2 * gen2[i][j] for j in (0, 1)) for i in (0, 1)
-    )
-    r = abs(lam)
-    # canonical sign: first nonzero of (A12, A21, A11 - A22) positive
-    key = (a[0][1], a[1][0], a[0][0] - a[1][1])
-    for entry in key:
-        if entry > 0:
-            break
-        if entry < 0:
-            a = tuple(tuple(-v for v in row) for row in a)
-            break
-    # reduce A11 into [0, r) by subtracting multiples of rE
-    t = a[0][0] // r
-    a = (
-        (a[0][0] - t * r, a[0][1]),
-        (a[1][0], a[1][1] - t * r),
-    )
-    lat = Sublattice((tuple(a[0]), tuple(a[1])), r)
+    i = next(j for j, e in enumerate(lead) if e)
+    g = gcd(*lead) if lead[i] > 0 else -gcd(*lead)
+    w = tuple(e // g for e in lead)
+    rows = []
+    for gen, part in zip((gen1, gen2), parts):
+        t = part[i] // w[i]
+        if part != tuple(t * e for e in w):
+            raise ValueError("span contains no nonzero scalar matrix")
+        rows.append((gen[0][0], t))
+    r, a11, t = hnf_rows(rows)
+    lat = Sublattice(((a11, t * w[0]), (t * w[1], a11 - t * w[2])), r)
     if not check_stability(lat, k):
         raise ValueError("sublattice is not stable under the requested pairing")
     return lat
@@ -198,9 +165,9 @@ def induced_pairing(
 
     def coordinates(x: Vec2, y: Vec2) -> Vec2:
         coords = lat.coordinates(matrix_pair(k, lat.phi(x), lat.phi(y)))
-        if coords is None or coords[0].denominator != 1 or coords[1].denominator != 1:
+        if coords is None:
             raise ValueError("sublattice is not stable under the requested pairing")
-        return int(coords[0]), int(coords[1])
+        return coords
 
     pairing = Pairing.from_bilinear(coordinates)
     form = lat.det_form()

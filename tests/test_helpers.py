@@ -1,13 +1,14 @@
 """Tests for the shared exact helpers in forms and Pairing.from_bilinear."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from normed_forms import Pairing
-from normed_forms.forms import exact_sqrt, ext_gcd, floor_sqrt_ratio, is_scalar
+from normed_forms.forms import exact_sqrt, ext_gcd, floor_sqrt_ratio, hnf_rows, is_scalar
 
 ints = st.integers(-10**6, 10**6)
 small = st.integers(-20, 20)
@@ -52,6 +53,43 @@ def test_ext_gcd_matches_old_unimodular_completion(w1, w2):
         return
     assert (u1, u2) == complete_unimodular(w1, w2)
     assert u1 * w2 - u2 * w1 == 1
+
+
+def in_span(v, basis):
+    """Whether v is an integer combination of two independent rows (Cramer)."""
+    (p, q), (u, w) = basis
+    det = p * w - q * u
+    return (v[0] * w - v[1] * u) % det == 0 and (p * v[1] - q * v[0]) % det == 0
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(small, small), max_size=5))
+def test_hnf_rows_is_a_basis_of_the_span(rows):
+    """(r, 0), (a, b) is the Hermite basis of the rows' span; rank < 2 raises."""
+    # the gcd of the 2x2 minors is the covolume of the rows' lattice L (0 if rank < 2)
+    covolume = 0
+    for v in rows:
+        for w in rows:
+            covolume = gcd(covolume, v[0] * w[1] - v[1] * w[0])
+    if covolume == 0:
+        with pytest.raises(ValueError):
+            hnf_rows(rows)
+        return
+    r, a, b = hnf_rows(rows)
+    assert 0 <= a < r and b > 0
+    # every row lies in H = span((r, 0), (a, b)), so L is a sublattice of H, of
+    # index covolume / (r b); index 1 puts (r, 0) and (a, b) in L as well
+    assert all(in_span(v, ((r, 0), (a, b))) for v in rows)
+    assert covolume == r * b
+
+
+def test_hnf_rows_fixed_values():
+    assert hnf_rows([(2, 0), (0, 2), (1, 1)]) == (2, 1, 1)
+    assert hnf_rows([(3, -6), (-1, 4)]) == (3, 1, 2)
+    assert hnf_rows([(5, 0), (7, -1)]) == (5, 3, 1)
+    for vs in ([], [(1, 2)], [(1, 2), (2, 4)], [(0, 0), (3, 0)], [(0, 1), (0, 5)]):
+        with pytest.raises(ValueError):
+            hnf_rows(vs)
 
 
 @given(st.integers(0, 10**12))

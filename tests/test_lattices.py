@@ -1,4 +1,8 @@
-"""Tests for quadratic contexts, lattices, ideals and form embeddings."""
+"""Tests for quadratic contexts, lattices, ideals and form embeddings.
+
+The Hermite reduction that lattices once ran by hand on ext_gcd lives on here,
+and only here, as the oracle for the shared forms.hnf_rows.
+"""
 
 from fractions import Fraction
 from fractions import Fraction as Fr
@@ -26,7 +30,8 @@ from normed_forms import (
     quadratic_order,
     sigma,
 )
-from normed_forms.forms import exact_sqrt
+from normed_forms.forms import exact_sqrt, ext_gcd
+from normed_forms.lattices import _canonical_data
 
 deltas = st.sampled_from([-23, -4, -20, -8, 8, 12, 13, 5])
 rat = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -40,6 +45,53 @@ def ctx23():
 def prime_over_two(ctx):
     """The nonprincipal ideal span(2, (-1+tau)/2) of the -23 order."""
     return Lattice(ctx, ctx.elem(2, 0), ctx.elem(Fr(-1, 2), Fr(1, 2)))
+
+
+def canonical_data_oracle(gens):
+    """Canonical (r, u_zeta, v_zeta) of the Z-span of the given elements.
+
+    Raises when the span has rank < 2.
+    """
+    den = 1
+    for g in gens:
+        den = den * g.u.denominator // gcd(den, g.u.denominator)
+        den = den * g.v.denominator // gcd(den, g.v.denominator)
+    rows = [(int(g.u * den), int(g.v * den)) for g in gens]
+
+    cur: tuple[int, int] | None = None
+    rationals: list[int] = []
+    for a, b in rows:
+        if b == 0:
+            rationals.append(a)
+            continue
+        if cur is None:
+            cur = (a, b)
+            continue
+        a1, b1 = cur
+        g, s, t = ext_gcd(b1, b)
+        # unimodular 2x2 change of basis: det [[s, t], [b/g, -b1/g]] = -1
+        cur = (s * a1 + t * a, g)
+        rationals.append((b // g) * a1 - (b1 // g) * a)
+    if cur is None:
+        raise ValueError("generators span no tau direction; rank < 2")
+    if cur[1] < 0:
+        cur = (-cur[0], -cur[1])
+    r0 = gcd(*rationals) if rationals else 0
+    if r0 == 0:
+        raise ValueError("generators contain no nonzero rational; rank < 2")
+    # balanced residue of the rational part of zeta
+    u0 = cur[0] % r0
+    if 2 * u0 > r0:
+        u0 -= r0
+    return Fraction(r0, den), Fraction(u0, den), Fraction(cur[1], den)
+
+
+def outcome(fn, *args):
+    """repr of the result, or the exception type's name for a ValueError."""
+    try:
+        return repr(fn(*args))
+    except ValueError:
+        return "ValueError"
 
 
 def test_context_basics():
@@ -562,3 +614,21 @@ def test_embed_form_matches_oracle(m, k, n, height):
         assert lat is None
     else:
         assert (lat.e1, lat.e2) == (expected.e1, expected.e2)
+
+
+@given(deltas, st.lists(st.tuples(rat, rat | st.just(Fr(0))), min_size=1, max_size=4))
+@settings(max_examples=400)
+@example(-23, [(Fr(1), Fr(0)), (Fr(2), Fr(0))])  # rationals only
+@example(-23, [(Fr(0), Fr(1)), (Fr(0), Fr(2))])  # no rational
+@example(-23, [(Fr(1), Fr(1)), (Fr(2), Fr(2))])  # dependent
+@example(-23, [(Fr(1, 2), Fr(1, 3)), (Fr(0), Fr(0)), (Fr(5, 4), Fr(0))])  # a zero generator
+def test_canonical_data_matches_hand_reduction(delta, gens):
+    """The shared Hermite form gives the oracle's (r, u, v), and raises where it raises."""
+    ctx = Context(delta)
+    elems = [ctx.elem(u, v) for u, v in gens]
+    assert outcome(_canonical_data, elems) == outcome(canonical_data_oracle, elems)
+    if len(elems) == 2:
+        # a lattice needs independent generators; the Hermite form's rank test decides
+        e1, e2 = elems
+        independent = e1.u * e2.v - e2.u * e1.v != 0
+        assert (outcome(Lattice, ctx, e1, e2) != "ValueError") == independent

@@ -1,6 +1,14 @@
-"""Tests for matrix pairings and planes spanned by a matrix and the scalars."""
+"""Tests for matrix pairings and planes spanned by a matrix and the scalars.
 
-from hypothesis import given, settings
+The rational line search that canonicalize once ran by hand, and the Fraction
+solve that Sublattice.coordinates once ran, live on here, and only here, as
+oracles for the integer Hermite normal form that replaced them.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -19,6 +27,7 @@ from normed_forms import (
     matrix_pair,
     type_of,
 )
+from normed_forms.forms import ext_gcd
 from normed_forms.matembed import mat_det, mat_mul, mat_trace
 
 entry = st.integers(min_value=-9, max_value=9)
@@ -27,6 +36,95 @@ mat = st.tuples(st.tuples(entry, entry), st.tuples(entry, entry))
 
 def nonscalar(a):
     return a[0][1] != 0 or a[1][0] != 0 or a[0][0] != a[1][1]
+
+
+def canonicalize_oracle(gen1, gen2, k):
+    """Canonical (A, rE) basis of the sublattice spanned by two matrices.
+
+    Requires the span to be two-dimensional, to contain a nonzero scalar
+    matrix (automatic for stable non-null sublattices), and to be stable
+    under S_k.  The canonical A has its first nonzero value among
+    (A12, A21, A11 - A22) positive and A11 reduced into [0, r).
+    """
+    # find the primitive (c1, c2) with c1 gen1 + c2 gen2 scalar
+    constraints = [
+        (gen1[0][1], gen2[0][1]),
+        (gen1[1][0], gen2[1][0]),
+        (gen1[0][0] - gen1[1][1], gen2[0][0] - gen2[1][1]),
+    ]
+    line: tuple[int, int] | None = None  # primitive direction, or None for all of Z^2
+    for alpha, beta in constraints:
+        if alpha == 0 and beta == 0:
+            continue
+        g = gcd(alpha, beta)
+        direction = (beta // g, -alpha // g)
+        if line is None:
+            line = direction
+        elif alpha * line[0] + beta * line[1] != 0:
+            raise ValueError("span contains no nonzero scalar matrix")
+    if line is None:
+        # both generators already scalar: rank <= 1
+        raise ValueError("generators span a line of scalars, not a rank-2 lattice")
+    w1, w2 = line
+    lam = w1 * gen1[0][0] + w2 * gen2[0][0]
+    if lam == 0:
+        raise ValueError("generators are linearly dependent")
+    # complete (w1, w2) to a unimodular matrix: u1 w2 - u2 w1 = 1
+    g, u1, u2 = ext_gcd(w2, -w1)
+    if g != 1:
+        raise ValueError("direction vector is not primitive")
+    a = tuple(
+        tuple(u1 * gen1[i][j] + u2 * gen2[i][j] for j in (0, 1)) for i in (0, 1)
+    )
+    r = abs(lam)
+    # canonical sign: first nonzero of (A12, A21, A11 - A22) positive
+    key = (a[0][1], a[1][0], a[0][0] - a[1][1])
+    for entry in key:
+        if entry > 0:
+            break
+        if entry < 0:
+            a = tuple(tuple(-v for v in row) for row in a)
+            break
+    # reduce A11 into [0, r) by subtracting multiples of rE
+    t = a[0][0] // r
+    a = (
+        (a[0][0] - t * r, a[0][1]),
+        (a[1][0], a[1][1] - t * r),
+    )
+    lat = Sublattice((tuple(a[0]), tuple(a[1])), r)
+    if not check_stability(lat, k):
+        raise ValueError("sublattice is not stable under the requested pairing")
+    return lat
+
+
+def coordinates_oracle(self, x):
+    """Solve x = c1 A + c2 rE over Q; None when x is outside the plane."""
+    a, r = self.a, self.r
+    if a[0][1] != 0:
+        c1 = Fraction(x[0][1], a[0][1])
+    elif a[1][0] != 0:
+        c1 = Fraction(x[1][0], a[1][0])
+    else:
+        # A is diagonal and non-scalar, so the diagonal gap is nonzero
+        c1 = Fraction(x[0][0] - x[1][1], a[0][0] - a[1][1])
+    c2 = (Fraction(x[0][0]) - c1 * a[0][0]) / r
+    # verify all four entries
+    if (
+        c1 * a[0][1] == x[0][1]
+        and c1 * a[1][0] == x[1][0]
+        and c1 * a[0][0] + c2 * r == x[0][0]
+        and c1 * a[1][1] + c2 * r == x[1][1]
+    ):
+        return c1, c2
+    return None
+
+
+def outcome(fn, *args):
+    """repr of the result, or the exception type's name for a ValueError."""
+    try:
+        return repr(fn(*args))
+    except ValueError:
+        return "ValueError"
 
 
 def test_adjugate_example():
@@ -122,11 +220,16 @@ def test_canonicalize_examples():
 
 
 def test_canonicalize_rejects_degenerate_input():
-    """Scalar-only or dependent generators are not a plane."""
+    """Scalar-only, dependent, non-collinear or zero generators are not a plane."""
     with pytest.raises(ValueError):
         canonicalize(((1, 0), (0, 1)), ((2, 0), (0, 2)), 1)
     with pytest.raises(ValueError):
         canonicalize(((1, 2), (3, 4)), ((2, 4), (6, 8)), 1)
+    # off-scalar parts (1, 0, 0) and (0, 1, 0): the span holds no scalar
+    with pytest.raises(ValueError):
+        canonicalize(((0, 1), (0, 0)), ((0, 0), (1, 0)), 1)
+    with pytest.raises(ValueError):
+        canonicalize(((1, 2), (3, 4)), ((0, 0), (0, 0)), 1)
 
 
 def test_canonicalize_rejects_unstable_plane():
@@ -194,3 +297,59 @@ def test_induced_pairing_represents_product(a, k):
             prod = matrix_pair(k, sub.phi(v), sub.phi(w))
             assert sub.contains(prod)
             assert sub.coordinates(prod) == pairing(v, w)
+
+
+@st.composite
+def generator_pairs(draw):
+    """Two generators: half of them recombine A and rE, half are arbitrary."""
+    if draw(st.booleans()):
+        a = draw(mat)
+        r = draw(st.integers(1, 9))
+        c = [draw(st.integers(-3, 3)) for _ in range(4)]
+        sub = Sublattice(a, r) if nonscalar(a) else None
+        if sub is not None:
+            return sub.phi((c[0], c[1])), sub.phi((c[2], c[3]))
+    return draw(mat), draw(mat)
+
+
+@given(generator_pairs(), st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=400)
+@example((((1, 0), (0, 1)), ((2, 0), (0, 2))), 1)  # scalars only
+@example((((1, 2), (3, 4)), ((2, 4), (6, 8))), 1)  # dependent
+@example((((0, 1), (0, 0)), ((0, 0), (1, 0))), 1)  # off-scalar parts not collinear
+@example((((1, 2), (3, 4)), ((0, 0), (0, 0))), 1)  # a zero generator
+@example((((0, 0), (0, 0)), ((1, 2), (3, 4))), 1)
+@example((((-1, -2), (-3, -4)), ((2, 0), (0, 2))), 1)
+@example((((2, 0), (0, -4)), ((-3, 0), (0, 3))), 1)  # diagonal: w = (0, 0, 1)
+def test_canonicalize_matches_line_search_oracle(gens, k):
+    """The Hermite form gives the oracle's Sublattice, and raises where it raises."""
+    assert outcome(canonicalize, *gens, k) == outcome(canonicalize_oracle, *gens, k)
+
+
+@given(
+    mat.filter(nonscalar),
+    st.integers(1, 9),
+    st.one_of(mat, st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 3))),
+)
+@settings(max_examples=400)
+@example(((1, 2), (3, 4)), 2, ((2, 2), (3, 5)))
+@example(((2, 0), (0, 4)), 2, (1, 0, 2))  # (A + 0 rE) / 2 = diag(1, 2): rational coordinates
+def test_coordinates_match_fraction_oracle(a, r, x):
+    """Integer coordinates where the oracle's are integers, else None.
+
+    x is a matrix, or (p1, p2, q) for the plane's point (p1 A + p2 rE) / q
+    when that is an integer matrix.
+    """
+    sub = Sublattice(a, r)
+    if len(x) == 3:
+        p1, p2, q = x
+        x = sub.phi((p1, p2))
+        if all(e % q == 0 for row in x for e in row):
+            x = tuple(tuple(e // q for e in row) for row in x)
+    want = coordinates_oracle(sub, x)
+    got = sub.coordinates(x)
+    if want is not None and want[0].denominator == 1 and want[1].denominator == 1:
+        assert got == want and all(type(c) is int for c in got)
+    else:
+        assert got is None
+    assert sub.contains(x) == (got is not None)
