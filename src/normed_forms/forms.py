@@ -355,6 +355,31 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     first; a lookup that finds nothing falls back to the search.  represent
     is exact on Z^2 only for definite forms; an indefinite box search can
     find w but miss 2w outside the box.
+
+    Class rules, primitive positive definite forms only.  Let O be the
+    order of discriminant D and C the class of f's lattice
+    L = Z*m + Z*(k + sqrt(D))/2, an invertible O-ideal.  The nonzero values
+    of f are the norms of the invertible ideals in C (D. Cox, Primes of the
+    Form x^2 + ny^2, Theorem 7.7), and as conjugation maps C onto C^-1 with
+    the same norms, also those of C^-1.  So the principal form P takes the
+    norms of class 1, and F = f o f (_square) those of C^2 and C^-2.  Call a
+    sample value u closed when u = 0 or P or F represents u.  (1) A closed u
+    times any value v is a value: take a of norm u in class 1 or C^-2 and b
+    of norm v in C; ab has norm u*v and lies in C or C^-1.  For P this is
+    just multiplication by an alpha in O of norm u, which maps L into L.
+    (2) The prime rule: let p be a prime value with p not dividing D, and v
+    a value that is not closed; then p*v is not a value.  The invertible
+    ideals of norm p are the two primes over p (p splits, being a norm
+    prime to D), of classes C and C^-1.  An ideal c of norm p*v in class C
+    lies in one of them, say q, as p is prime to the conductor, and
+    c = q*b with b integral of norm v in class 1 or C^2, which would make v
+    closed.  This needs no p-freeness of v.  So the closed values never
+    enter the pair loop: their products are marked as values up front, and
+    among the rest, a product with a prime factor u, u not dividing D, is
+    not a value.  (3) When some e of the genus rule is odd, no closed
+    nonzero value exists and no nonzero product is a value, so the
+    counterexample count is the square of the number of nonzero sample
+    points and the pair loop is skipped, for every form.
     """
     disc = form.discriminant()
     if disc == 0:
@@ -371,19 +396,35 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     else:
         cap = search_bound + 1
     ramified = _nonresidue_primes(form, disc, cap)
-    odd_exponent = any(e % 2 for _, e in ramified)
     modulus = prod(p ** e for p, e in ramified)
     representable: dict[int, bool] = {}
     count = 0
     # ascending |u|, so that t/4 and t/9 are mostly decided before t
-    for u, v in combinations_with_replacement(sorted(mult, key=abs), 2):
+    open_values = sorted(mult, key=abs)
+    excluded: set[int] = set()
+    if any(e % 2 for _, e in ramified):
+        # the genus rule with an odd e: no nonzero product is a value
+        representable = {u * v: u * v == 0
+                         for u, v in combinations_with_replacement(mult, 2)}
+        count = (len(values) - mult[0]) ** 2
+        open_values = []
+    elif disc < 0 < form.m and form.is_primitive():
+        squares = dict.fromkeys((principal_form(disc), _square(form)))
+        closed = {u for u in open_values
+                  if u == 0 or any(g.represent(u) is not None for g in squares)}
+        for u in closed:
+            for v in mult:
+                representable[u * v] = True
+        open_values = [u for u in open_values if u not in closed]
+        excluded = {u for u in open_values if disc % u and _is_prime(u)}
+    for u, v in combinations_with_replacement(open_values, 2):
         t = u * v
         found = representable.get(t)
         if found is None:
             if t == 0:  # f(0, 0)
                 found = True
-            elif odd_exponent or t % modulus:  # the genus rule
-                found = False
+            elif t % modulus or u in excluded or v in excluded:
+                found = False  # the genus rule, the prime rule
             elif disc < 0 and (t % 4 == 0 and representable.get(t // 4)
                                or t % 9 == 0 and representable.get(t // 9)):
                 found = True  # square scaling
@@ -405,6 +446,28 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
         counterexamples=recorded,
         decided=disc < 0,
     )
+
+
+def _square(form: Form) -> Form:
+    """The reduced form of f o f, for f primitive positive definite.
+
+    Dirichlet composition of f with itself (H. Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 5.4.7 with both inputs
+    equal): with d = gcd(k, m) = x*k + y*m, v = m/d and r = -x*n mod v,
+    B = k + 2v*r has B = k mod 2v and B^2 = D mod 4v^2 (as k*r + d*n =
+    y*m*n = 0 mod v), so (v^2, B, (B^2 - D)/4v^2) is an integer form of
+    discriminant D, and it is the square of f's class.
+    """
+    m, k, n = form.m, form.k, form.n
+    d, x, _ = ext_gcd(k, m)
+    v = m // d
+    b = k + 2 * v * (-x * n % v)
+    return Form(v * v, b, (b * b - form.discriminant()) // (4 * v * v)).reduce()[0]
+
+
+def _is_prime(t: int) -> bool:
+    """Trial division; for the small values of a sample box."""
+    return t > 1 and all(t % p for p in range(2, isqrt(t) + 1))
 
 
 def _nonresidue_primes(form: Form, disc: int, cap: int) -> list[tuple[int, int]]:

@@ -5,25 +5,37 @@ here, as oracles: the indefinite double loop of Form.represent, the (a, c)
 double loop of the minus-minus scan, and the pair-by-pair semigroup probe.
 So does the kernel-based definite branch of Form.represent that the plain
 ellipse loop replaced.  The genus-character filter of the probe is checked
-against brute force too.
+against brute force too, and the squaring map behind the probe's class rules
+against the product of lattices.
 """
 
 import time
 
+from fractions import Fraction
 from itertools import product
 from math import isqrt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normed_forms import Definiteness, Form, Quadruple, reduced_forms, semigroup_probe
+from normed_forms import (
+    Definiteness,
+    Form,
+    Quadruple,
+    principal_form,
+    reduced_forms,
+    semigroup_probe,
+)
 from normed_forms.classify import _scan_quadruples, minus_minus_bounds, minus_minus_witnesses
 from normed_forms.forms import (
     SemigroupReport,
+    _is_prime,
     _nonresidue_primes,
     _row_solutions,
+    _square,
     floor_sqrt_ratio,
 )
+from normed_forms.lattices import Context, Lattice
 
 small = st.integers(min_value=-6, max_value=6)
 forms = st.builds(Form, small, small, small)
@@ -267,6 +279,8 @@ def test_scan_matches_oracle_on_derived_forms(entries, box):
 @example(Form(1, 0, -2), 2, 3, 1)
 @example(Form(0, 1, 0), 1, 0, 20)
 @example(Form(2, 1, 3), -1, 100, 20)
+@example(Form(2, 1, 6), 3, 100, 20)  # D = -47, class number 5
+@example(Form(2, 1, 9), 3, 100, 20)  # D = -71, class number 7
 def test_probe_matches_oracle(form, sample_bound, search_bound, max_recorded):
     """Every report field agrees with the pair-by-pair probe."""
     assert semigroup_probe(form, sample_bound, search_bound, max_recorded) == probe_oracle(
@@ -389,15 +403,18 @@ def test_nonresidue_products_are_never_values(form, points, cap):
                 assert represent_oracle(form, t, 6) is None
 
 
+def reduced_forms_between(dmin: int, dmax: int):
+    for delta in range(dmin, dmax + 1):
+        if delta % 4 in (0, 1):
+            yield from reduced_forms(delta)
+
+
 def test_probe_matches_oracle_on_reduced_forms():
     """Every reduced form with -400 <= D <= -3, at the default bounds."""
     checked = 0
-    for delta in range(-400, -2):
-        if delta % 4 not in (0, 1):
-            continue
-        for form in reduced_forms(delta):
-            assert semigroup_probe(form) == probe_oracle(form, 3, 100, 20)
-            checked += 1
+    for form in reduced_forms_between(-400, -3):
+        assert semigroup_probe(form) == probe_oracle(form, 3, 100, 20)
+        checked += 1
     assert checked == 1108
 
 
@@ -422,3 +439,64 @@ def test_nonresidue_prime_search_is_capped():
         best = min(best, time.perf_counter() - start)
     assert primes == []
     assert best < 0.05
+
+
+def test_square_matches_lattice_product():
+    """f o f is the reduced primitive form of L*L, for L = span(m, (k + tau)/2)
+    the lattice whose norm form is m*f: on every reduced form of
+    -1500 <= D <= -3, with discriminant D and content 1."""
+    checked = 0
+    for form in reduced_forms_between(-1500, -3):
+        delta = form.discriminant()
+        ctx = Context(delta)
+        lat = Lattice(ctx, ctx.elem(form.m), ctx.elem(Fraction(form.k, 2), Fraction(1, 2)))
+        assert lat.to_form() == Form(form.m * form.m, form.m * form.k, form.m * form.n)
+        square = _square(form)
+        _, product_form = (lat * lat).to_form().content_and_primitive()
+        assert product_form.reduce()[0] == square
+        assert square.discriminant() == delta and square.is_primitive()
+        checked += 1
+    assert checked == 8220
+
+
+def test_class_rules_agree_with_represent():
+    """The probe's two class rules, checked by search on the sample values
+    |xi| <= 3 of every reduced form of -400 <= D <= -3.  A closed value u
+    (0, or a value of the principal form or of f o f) times any value is a
+    value; a prime value p not dividing D times a value that is not closed
+    is not."""
+    closed_products = prime_products = 0
+    for form in reduced_forms_between(-400, -3):
+        delta = form.discriminant()
+        squares = (principal_form(delta), _square(form))
+        side = range(-3, 4)
+        values = {form(x) for x in product(side, side)}
+        closed = {u for u in values
+                  if u == 0 or any(g.represent(u) is not None for g in squares)}
+        for u, v in product(closed, values):
+            assert form.represent(u * v) is not None
+            closed_products += 1
+        for p, v in product(values - closed, repeat=2):
+            if delta % p and _is_prime(p):
+                assert form.represent(p * v) is None
+                prime_products += 1
+    assert closed_products > 0 and prime_products > 0
+
+
+def test_probe_search_count_on_reduced_forms(monkeypatch):
+    """The class rules leave few searches on the probed form itself: at most
+    7,529 represent calls over the probes of -400 <= D <= -3 (66,888 with
+    the genus rule and square scaling alone)."""
+    probed = None
+    calls = 0
+    represent = Form.represent
+
+    def counting(self, target, box_bound=100):
+        nonlocal calls
+        calls += self is probed
+        return represent(self, target, box_bound)
+
+    monkeypatch.setattr(Form, "represent", counting)
+    for probed in reduced_forms_between(-400, -3):
+        semigroup_probe(probed)
+    assert 0 < calls <= 7529
