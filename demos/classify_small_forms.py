@@ -49,9 +49,8 @@ def main():
     print(f"  witness parameters {params}: base {params.base_form()},"
           f" r = {params.r}, so the pairing is normed for {params.r} * (2, 1, 3)")
     witness, decision = search_minus_minus(form)
-    amax, bmax, cmax, dmax = minus_minus_bounds(form)
-    box = (2 * amax + 1) * (2 * bmax + 1) * (2 * cmax + 1) * (2 * dmax + 1)
-    print(f"  minus-minus search: {witness} after {box} candidates ({decision.value})")
+    rows = 2 * minus_minus_bounds(form)[0] + 1
+    print(f"  minus-minus search: {witness} after solving {rows} rows ({decision.value})")
 
     print()
     print("Doubling swaps the answers: the primitive form has only the")

@@ -43,7 +43,6 @@ from .forms import (
     Form,
     _row_solutions,
     floor_sqrt_ratio,
-    principal_form,
 )
 from .pairings import PlusParams, Quadruple
 
@@ -256,7 +255,4 @@ def order3_verdict(quad: Quadruple) -> Order3Verdict:
         return Order3Verdict.NOT_APPLICABLE
     if not form.is_primitive():
         return Order3Verdict.NOT_APPLICABLE
-    reduced, _ = form.reduce()
-    if reduced == principal_form(form.discriminant()):
-        return Order3Verdict.ORDER_1
-    return Order3Verdict.ORDER_3
+    return Order3Verdict.ORDER_1 if form.is_principal() else Order3Verdict.ORDER_3

@@ -57,7 +57,6 @@ from .curve import curve_sample
 from .forms import (
     Definiteness,
     Form,
-    exact_sqrt,
     principal_form,
     reduced_forms,
     semigroup_probe,
@@ -71,7 +70,7 @@ MAX_CURVE_SAMPLES = 100_000
 # same cap bounds the 2 * amax + 1 rows of a positive definite form's
 # minus-minus scan (minus_minus_bounds)
 MAX_CLASSIFY_BOX = 10**6
-# catalog visits box * (2 * box + 1) cells per positive discriminant
+# catalog solves for n at about (4/3) * box^2 pairs (m, k) per positive delta
 MAX_CATALOG_BOX = 1000
 # catalog classifies and probes each reduced form of a negative discriminant,
 # about sqrt(|delta|) of them (up to about 0.9 s for one discriminant near
@@ -248,22 +247,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if normed else 1
 
 
-def _positive_delta_forms(delta: int, box: int) -> list[tuple[int, int, int]]:
+def _positive_delta_forms(delta: int, box: int) -> Iterator[Form]:
     """Primitive forms of positive discriminant delta with 1 <= m <= box,
-    |n| <= box (a normalized finite sample; the full set is infinite)."""
-    found: set[tuple[int, int, int]] = set()
+    |n| <= box (a normalized finite sample; the full set is infinite), in
+    ascending (m, k, n) order: n = (k^2 - delta)/4m for each k = delta mod 2
+    with k^2 <= delta + 4m*box, the k that give n <= box."""
     for m in range(1, box + 1):
-        for n in range(-box, box + 1):
-            root = exact_sqrt(delta + 4 * m * n)
-            if root is None:
-                continue
-            for k in {root, -root}:
-                if gcd(gcd(m, k), n) == 1:
-                    found.add((m, k, n))
-    return sorted(found)
+        reach = isqrt(delta + 4 * m * box)
+        for k in range(-reach + (reach + delta) % 2, reach + 1, 2):
+            n, rest = divmod(k * k - delta, 4 * m)
+            if rest == 0 and n >= -box and gcd(m, k, n) == 1:
+                yield Form(m, k, n)
 
 
-def _catalog_record(delta: int, shape: tuple[int, int, int],
+def _catalog_record(delta: int, form: Form,
                     probes: dict[tuple[int, int, int], tuple[bool, int]]) -> dict:
     """The catalog record of one form of discriminant delta.  probes maps each
     box-symmetry orbit (min(m, n), |k|, max(m, n)) of delta to its probe result.
@@ -273,15 +270,13 @@ def _catalog_record(delta: int, shape: tuple[int, int, int],
     of an orbit have the same sample values and represent the same products
     (on all of Z^2 for definite forms, inside the box for indefinite ones).
     """
-    form = Form(*shape)
     report = full_classification(form)
     # a witness proves closure (ClassificationReport.has_witness); indefinite
     # records keep the advisory probe, whose fields the pinned windows fix
     if report.has_witness and report.definiteness is Definiteness.POSITIVE_DEFINITE:
         decided, count = True, 0
     else:
-        m, k, n = shape
-        orbit = (min(m, n), abs(k), max(m, n))
+        orbit = (min(form.m, form.n), abs(form.k), max(form.m, form.n))
         if orbit not in probes:
             probe = semigroup_probe(form, max_recorded=0)
             probes[orbit] = probe.decided, probe.counterexample_count
@@ -303,13 +298,10 @@ def _catalog_records(dmin: int, dmax: int, box: int) -> Iterator[dict]:
     for delta in range(dmin, dmax + 1):
         if delta == 0 or delta % 4 not in (0, 1):
             continue
-        if delta < 0:
-            shapes = [f.coefficients() for f in reduced_forms(delta)]
-        else:
-            shapes = _positive_delta_forms(delta, box)
+        forms = reduced_forms(delta) if delta < 0 else _positive_delta_forms(delta, box)
         probes: dict[tuple[int, int, int], tuple[bool, int]] = {}
-        for shape in shapes:
-            yield _catalog_record(delta, shape, probes)
+        for form in forms:
+            yield _catalog_record(delta, form, probes)
 
 
 _CSV_COLUMNS = (

@@ -208,6 +208,10 @@ class Form:
             acc = mat_mul(acc, step)
         return f, acc
 
+    def is_principal(self) -> bool:
+        """Whether the reduced form is the principal form (ValueError as in reduce)."""
+        return self.reduce()[0] == principal_form(self.discriminant())
+
     def is_reduced(self) -> bool:
         if self.definiteness() is not Definiteness.POSITIVE_DEFINITE:
             return False
@@ -326,7 +330,7 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     property; for indefinite forms the report is advisory only (decided is
     False).
 
-    Most products are decided without a search.  t = 0 is f(0, 0).  The
+    Most products are decided without a search.  0 is a closed value.  The
     genus rule: take an odd prime p | D (D the discriminant) with e = v_p(D)
     and a = m, or a = n when p | m, such that (a/p) = -1 (see
     _nonresidue_primes).  Then 4a*f(x) = X^2 - D*Y^2 with X = 2m*x1 + k*x2,
@@ -350,11 +354,10 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     the number of rows one search of the largest product would visit.
 
     Square scaling, definite forms only: f(2w) = 4f(w) and f(3w) = 9f(w),
-    so t is a value when t/4 or t/9 is already known to be one.  The values
-    are walked in ascending |u|, so those smaller products mostly come
-    first; a lookup that finds nothing falls back to the search.  represent
-    is exact on Z^2 only for definite forms; an indefinite box search can
-    find w but miss 2w outside the box.
+    so t is a value when t/4 or t/9 is already known to be one; a lookup
+    that finds nothing falls back to the search.  represent is exact on Z^2
+    only for definite forms; an indefinite box search can find w but miss
+    2w outside the box.
 
     Class rules, primitive positive definite forms only.  Let O be the
     order of discriminant D and C the class of f's lattice
@@ -373,22 +376,28 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     prime to D), of classes C and C^-1.  An ideal c of norm p*v in class C
     lies in one of them, say q, as p is prime to the conductor, and
     c = q*b with b integral of norm v in class 1 or C^2, which would make v
-    closed.  This needs no p-freeness of v.  So the closed values never
-    enter the pair loop: their products are marked as values up front, and
-    among the rest, a product with a prime factor u, u not dividing D, is
-    not a value.  (3) When some e of the genus rule is odd, no closed
-    nonzero value exists and no nonzero product is a value, so the
-    counterexample count is the square of the number of nonzero sample
-    points and the pair loop is skipped, for every form.
+    closed.  This needs no p-freeness of v.  So a product of two values
+    that are not closed, one of them a prime u not dividing D, is not a
+    value.  (3) When some e of the genus rule is odd, no closed nonzero
+    value exists and no nonzero product is a value, so the counterexample
+    count is the square of the number of nonzero sample points and the
+    pair loop is skipped, for every form.
+
+    One chain decides each product, in this order: a closed factor (0 is
+    closed for every form, as 0 * v = f(0, 0)), the genus and prime rules,
+    square scaling, then represent.  Closed values are walked first, so no
+    product of one is searched; then ascending |u| decides t/4 and t/9
+    before t and lets small prime values rule products out before a search
+    (unsorted, a -400..-3 catalog made 42 more searches that found nothing).
     """
     disc = form.discriminant()
     if disc == 0:
         raise DegenerateFormError("semigroup probe requires a nondegenerate form")
     side = range(-sample_bound, sample_bound + 1)
-    values = {(x1, x2): form((x1, x2)) for x1 in side for x2 in side}
+    points = [(x1, x2) for x1 in side for x2 in side]
     # f(x)f(y) depends only on the two values, so each unordered pair of
     # distinct values is tested once and stands for mult*mult ordered pairs
-    mult = Counter(values.values())
+    mult = Counter(map(form, points))
     if disc < 0:
         # products of two values are >= 0; the largest m*t takes the most rows
         top = max(mult, key=lambda u: form.m * u * u, default=0)
@@ -399,29 +408,28 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     modulus = prod(p ** e for p, e in ramified)
     representable: dict[int, bool] = {}
     count = 0
-    # ascending |u|, so that t/4 and t/9 are mostly decided before t
-    open_values = sorted(mult, key=abs)
+    closed = {0}  # 0 * v = f(0, 0)
     excluded: set[int] = set()
+    ordered: list[int] = []
     if any(e % 2 for _, e in ramified):
         # the genus rule with an odd e: no nonzero product is a value
         representable = {u * v: u * v == 0
                          for u, v in combinations_with_replacement(mult, 2)}
-        count = (len(values) - mult[0]) ** 2
-        open_values = []
-    elif disc < 0 < form.m and form.is_primitive():
-        squares = dict.fromkeys((principal_form(disc), _square(form)))
-        closed = {u for u in open_values
-                  if u == 0 or any(g.represent(u) is not None for g in squares)}
-        for u in closed:
-            for v in mult:
-                representable[u * v] = True
-        open_values = [u for u in open_values if u not in closed]
-        excluded = {u for u in open_values if disc % u and _is_prime(u)}
-    for u, v in combinations_with_replacement(open_values, 2):
+        count = (len(points) - mult[0]) ** 2
+    else:
+        if disc < 0 < form.m and form.is_primitive():
+            squares = dict.fromkeys((principal_form(disc), _square(form)))
+            closed |= {u for u in mult
+                       if u and any(g.represent(u) is not None for g in squares)}
+            # closed values are decided before the prime rule is tried
+            excluded = {u for u in mult if u not in closed and disc % u and _is_prime(u)}
+        # closed values first, then ascending |u| (see the docstring)
+        ordered = sorted(mult, key=lambda u: (u not in closed, abs(u)))
+    for u, v in combinations_with_replacement(ordered, 2):
         t = u * v
         found = representable.get(t)
         if found is None:
-            if t == 0:  # f(0, 0)
+            if u in closed:  # v follows u, so u is the closed one if any is
                 found = True
             elif t % modulus or u in excluded or v in excluded:
                 found = False  # the genus rule, the prime rule
@@ -433,14 +441,14 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
             representable[t] = found
         if not found:
             count += mult[u] * mult[v] * (1 if u == v else 2)
-    misses = ((x, y) for x in values for y in values
-              if not representable[values[x] * values[y]])
+    misses = ((x, y) for x in points for y in points
+              if not representable[form(x) * form(y)])
     recorded = tuple(islice(misses, max(min(count, max_recorded), 0)))
     return SemigroupReport(
         form=form,
         sample_bound=sample_bound,
         search_bound=search_bound,
-        pairs_checked=len(values) ** 2,
+        pairs_checked=len(points) ** 2,
         products_checked=len(representable),
         counterexample_count=count,
         counterexamples=recorded,

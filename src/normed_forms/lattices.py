@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import forms as _forms
 from .forms import DegenerateFormError, Definiteness, Form, _row_solutions, exact_sqrt, hnf_rows
 from .matembed import Sublattice
 
@@ -299,10 +298,7 @@ class Lattice:
         """
         if self.ctx.delta >= 0:
             raise ValueError("principality test requires delta < 0")
-        form = self.to_form()
-        _, primitive = form.content_and_primitive()
-        reduced, _ = primitive.reduce()
-        return reduced == _forms.principal_form(primitive.discriminant())
+        return self.to_form().content_and_primitive()[1].is_principal()
 
     def cube_is_principal(self) -> bool:
         """Principality of L*L*L (content-normalized inside is_principal)."""

@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
 import normed_forms
 from normed_forms import Form, PlusParams, Quadruple, cli, full_classification
 from normed_forms.cli import _decimal, main
+from normed_forms.forms import exact_sqrt
 
 
 def run(capsys, argv):
@@ -418,6 +420,33 @@ def test_catalog_positive_window(capsys):
         assert k * k - 4 * m * n == int(r["delta"])
         assert 1 <= m <= 6 and abs(n) <= 6
         assert math.gcd(math.gcd(m, k), n) == 1
+
+
+def positive_delta_forms_oracle(delta: int, box: int) -> list[tuple[int, int, int]]:
+    """The cell scan that _positive_delta_forms replaced: an exact square
+    root per (m, n) cell of the box, then a set and a sort."""
+    found: set[tuple[int, int, int]] = set()
+    for m in range(1, box + 1):
+        for n in range(-box, box + 1):
+            root = exact_sqrt(delta + 4 * m * n)
+            if root is None:
+                continue
+            for k in {root, -root}:
+                if gcd(gcd(m, k), n) == 1:
+                    found.add((m, k, n))
+    return sorted(found)
+
+
+def test_positive_delta_forms_match_oracle():
+    """Solving for n yields the cell scan's forms in its order, on every
+    valid delta in 1..200 (squares and k = 0 rows included) and five boxes."""
+    assert (1, 0, -2) in positive_delta_forms_oracle(8, 2)
+    for delta in range(1, 201):
+        if delta % 4 not in (0, 1):
+            continue
+        for box in (1, 2, 3, 6, 12):
+            solved = [f.coefficients() for f in cli._positive_delta_forms(delta, box)]
+            assert solved == positive_delta_forms_oracle(delta, box), (delta, box)
 
 
 def test_catalog_out_missing_directory(capsys, tmp_path):

@@ -132,6 +132,18 @@ def test_reduce_requires_positive_definite_primitive():
         Form(4, 2, 6).reduce()
 
 
+def test_is_principal():
+    """The principal-class test reduces, and rejects what reduce rejects."""
+    assert Form(3, 4, 2).is_principal()  # reduces to (1, 0, 2)
+    assert Form(6, 1, 1).is_principal()  # reduces to (1, 1, 6)
+    assert not Form(2, 1, 3).is_principal()
+    assert not Form(3, -1, 2).is_principal()
+    with pytest.raises(ValueError):
+        Form(1, 0, -1).is_principal()
+    with pytest.raises(ValueError):
+        Form(4, 2, 6).is_principal()
+
+
 @given(st.integers(1, 20), st.integers(-20, 20), st.integers(1, 20))
 def test_reduce_soundness(m, k, n):
     """Reduction outputs a reduced equivalent form with its witness matrix."""

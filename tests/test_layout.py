@@ -19,7 +19,7 @@ SRC = ROOT / "src"
 # only required to run cleanly
 DEMO_SHA1 = {
     "class_group_order3": "5fd9cd51340392c018fee06fa35294625dd1d997",
-    "classify_small_forms": "07a38c673adc4f7b58fc6ee00a7e4c5019aeb79f",
+    "classify_small_forms": "6d5e4c5c4c2b0ee022132fcd41c75dba9045e4b0",
     "composition_identities": "06593e36f31077a3ca81e48db068fb534319bce1",
     "witness_curves": None,
 }

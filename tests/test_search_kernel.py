@@ -281,6 +281,9 @@ def test_scan_matches_oracle_on_derived_forms(entries, box):
 @example(Form(2, 1, 3), -1, 100, 20)
 @example(Form(2, 1, 6), 3, 100, 20)  # D = -47, class number 5
 @example(Form(2, 1, 9), 3, 100, 20)  # D = -71, class number 7
+@example(Form(4, 2, 6), 3, 100, 20)  # imprimitive: closed = {0}
+@example(Form(-2, -1, -3), 3, 100, 20)  # negative definite, odd genus exponent at 23
+@example(Form(-2, 0, -3), 3, 100, 20)  # negative definite: closed = {0}
 def test_probe_matches_oracle(form, sample_bound, search_bound, max_recorded):
     """Every report field agrees with the pair-by-pair probe."""
     assert semigroup_probe(form, sample_bound, search_bound, max_recorded) == probe_oracle(
@@ -500,3 +503,20 @@ def test_probe_search_count_on_reduced_forms(monkeypatch):
     for probed in reduced_forms_between(-400, -3):
         semigroup_probe(probed)
     assert 0 < calls <= 7529
+
+
+def test_probe_never_searches_for_zero(monkeypatch):
+    """0 is a closed value of every form, as 0 * v = f(0, 0), so no probe
+    searches for it: not an imprimitive, negative definite or indefinite
+    one, nor a primitive positive definite one, whose closed values hold 1."""
+    targets = []
+    represent = Form.represent
+
+    def recording(self, target, box_bound=100):
+        targets.append(target)
+        return represent(self, target, box_bound)
+
+    monkeypatch.setattr(Form, "represent", recording)
+    for form in (Form(4, 2, 6), Form(-1, 0, -1), Form(1, 0, -2), Form(2, 1, 3)):
+        semigroup_probe(form)
+    assert targets and 0 not in targets
