@@ -51,7 +51,7 @@ class EmbeddingMatrix:
 
 
 def _curve_context(form: Form):
-    """(phase, sin-like, cos-like, eps) for the witness curve of the form."""
+    """(phase, sin-like, cos-like) for the witness curve of the form."""
     kind = form.definiteness()
     if kind is Definiteness.DEGENERATE:
         raise DegenerateFormError("the witness curve needs a nondegenerate form")
@@ -68,11 +68,11 @@ def _curve_context(form: Form):
         phase = math.acos(ratio)
         if k < 0:
             phase = -phase
-        return phase, math.sin, math.cos, 1
+        return phase, math.sin, math.cos
     phase = math.acosh(abs(ratio))
     if k < 0:
         phase = -phase
-    return phase, math.sinh, math.cosh, -1
+    return phase, math.sinh, math.cosh
 
 
 def curve_phase(form: Form) -> float:
@@ -82,7 +82,7 @@ def curve_phase(form: Form) -> float:
 
 def curve_embedding(form: Form, theta: float, branch: int = 1) -> EmbeddingMatrix:
     """Point (alpha, beta, gamma, delta) of the real embedding curve."""
-    phase, s, c, _ = _curve_context(form)
+    phase, s, c = _curve_context(form)
     m, _, n = form.coefficients()
     sm, sn = math.sqrt(m), math.sqrt(n)
     sign = 1 if branch >= 0 else -1
@@ -98,7 +98,7 @@ def curve_quadruple(
     form: Form, theta: float, branch: int = 1
 ) -> tuple[float, float, float, float]:
     """Point (a, b, c, d) of the real minus-minus witness curve."""
-    phase, s, c, _ = _curve_context(form)
+    phase, s, c = _curve_context(form)
     m, _, n = form.coefficients()
     sm, sn = math.sqrt(m), math.sqrt(n)
     sp = s(phase)

@@ -11,10 +11,10 @@ a unique canonical basis (r, zeta): r is the least positive rational it
 contains, zeta = u + v tau has the least positive v, and u is reduced into
 the balanced range (-r/2, r/2].  It is the Hermite normal form
 (forms.hnf_rows) of the generators' (u, v) rows scaled by their common
-denominator, with the residue of u then balanced.  Lattices are compared
-through this canonical form, while the constructor preserves whatever
+denominator, with the residue of u then balanced.  A lattice stores only the
 ordered basis it was given (so a basis found by embed_form still reads off
-the intended form).
+the intended form); the canonical basis is computed from it when the lattice
+is compared, hashed or asked for it, never at construction.
 
 The four multiplicative couplings are
 
@@ -33,7 +33,7 @@ when m != 0 and the unique zero-divisor solution when m = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -61,7 +61,7 @@ class Context:
         return 1 if self.delta < 0 else -1
 
     def elem(self, u: Rational, v: Rational = 0) -> "QuadElem":
-        return QuadElem(self, Fraction(u), Fraction(v))
+        return QuadElem(self, u, v)
 
     def one(self) -> "QuadElem":
         return self.elem(1)
@@ -168,65 +168,69 @@ def _canonical_data(gens) -> tuple[Fraction, Fraction, Fraction]:
     u balanced into (-r/2, r/2].  Raises when the span has rank < 2.
     """
     den = lcm(*(q.denominator for g in gens for q in (g.u, g.v)))
-    r, u, v = hnf_rows((int(g.u * den), int(g.v * den)) for g in gens)
+    r, u, v = hnf_rows(
+        tuple(q.numerator * (den // q.denominator) for q in (g.u, g.v)) for g in gens
+    )
     if 2 * u > r:
         u -= r
     return Fraction(r, den), Fraction(u, den), Fraction(v, den)
+
+
+def _cross(z: QuadElem, w: QuadElem) -> Fraction:
+    """u_z v_w - u_w v_z: the determinant of the (u, v) rows of z and w."""
+    return z.u * w.v - w.u * z.v
 
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """Z-span of two independent elements of a context.
 
-    The ordered generator pair is preserved; equality and hashing go through
-    the canonical (r, zeta) basis.
+    Only the ordered generator pair is stored.  Equality, hashing and
+    canonical_basis compute the canonical (r, zeta) basis when called.
     """
 
     ctx: Context
     e1: QuadElem
     e2: QuadElem
-    _canon: tuple[Fraction, Fraction, Fraction] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.e1.ctx != self.ctx or self.e2.ctx != self.ctx:
             raise ValueError("generators from a different context")
-        object.__setattr__(self, "_canon", _canonical_data([self.e1, self.e2]))
+        if not _cross(self.e1, self.e2):
+            raise ValueError("generators span a lattice of rank < 2")
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Lattice)
             and self.ctx == other.ctx
-            and self._canon == other._canon
+            and _canonical_data([self.e1, self.e2])
+            == _canonical_data([other.e1, other.e2])
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx.delta, self._canon))
+        return hash((self.ctx.delta, _canonical_data([self.e1, self.e2])))
 
     def canonical_basis(self) -> "CanonicalBasis":
-        r, u, v = self._canon
+        r, u, v = _canonical_data([self.e1, self.e2])
         return CanonicalBasis(r=r, zeta=QuadElem(self.ctx, u, v))
 
     def canonicalized(self) -> "Lattice":
-        r, u, v = self._canon
-        return Lattice(self.ctx, self.ctx.elem(r), QuadElem(self.ctx, u, v))
+        return hnf_from_generators(self.ctx, [self.e1, self.e2])
 
     def contains(self, z: QuadElem) -> bool:
         if z.ctx != self.ctx:
             raise ValueError("element from a different context")
-        det = self.e1.u * self.e2.v - self.e2.u * self.e1.v
-        c1 = (z.u * self.e2.v - z.v * self.e2.u) / det
-        c2 = (z.v * self.e1.u - z.u * self.e1.v) / det
+        det = _cross(self.e1, self.e2)
+        c1 = _cross(z, self.e2) / det
+        c2 = _cross(self.e1, z) / det
         return c1.denominator == 1 and c2.denominator == 1
 
     def is_subset_of(self, other: "Lattice") -> bool:
         return other.contains(self.e1) and other.contains(self.e2)
 
     def discriminant(self) -> Fraction:
-        """4 delta (v1 u2 - v2 u1)^2; an integer for integer-normed lattices."""
-        cross = self.e1.v * self.e2.u - self.e2.v * self.e1.u
-        return 4 * self.ctx.delta * cross * cross
+        """4 delta (u1 v2 - u2 v1)^2; an integer for integer-normed lattices."""
+        return 4 * self.ctx.delta * _cross(self.e1, self.e2) ** 2
 
     def to_form(self) -> Form:
         """(norm(e1), trace(e1 conj(e2)), norm(e2)) on a properly oriented basis.
@@ -235,7 +239,7 @@ class Lattice:
         swapped if needed.  Requires the three values to be integers.
         """
         a, b = self.e1, self.e2
-        if a.u * b.v - b.u * a.v < 0:
+        if _cross(a, b) < 0:
             a, b = b, a
         m = a.norm()
         n = b.norm()
@@ -356,8 +360,7 @@ def hnf_from_generators(ctx: Context, gens) -> Lattice:
 
 def quadratic_order(delta: int) -> Lattice:
     """The maximal-by-discriminant order span(1, tau/2) or span(1, (1+tau)/2)."""
-    ctx = Context(delta)
-    return Lattice(ctx, ctx.one(), ctx.order_generator())
+    return order_lattice(Context(delta), delta)
 
 
 def order_lattice(ctx: Context, delta_star: int) -> Lattice:
@@ -374,11 +377,8 @@ def order_lattice(ctx: Context, delta_star: int) -> Lattice:
     s = exact_sqrt(ratio)  # tau = s * tau_star
     if s is None:
         raise ValueError("context mismatch: discriminant ratio is not a square")
-    if delta_star % 4 == 0:
-        omega = ctx.elem(0, Fraction(1, 2) / s)
-    else:
-        omega = ctx.elem(Fraction(1, 2), Fraction(1, 2) / s)
-    return Lattice(ctx, ctx.one(), omega)
+    omega = Context(delta_star).order_generator()  # u + v tau_star = u + (v/s) tau
+    return Lattice(ctx, ctx.one(), ctx.elem(omega.u, omega.v / s))
 
 
 def embed_form(form: Form, height_bound: int = 10) -> Lattice | None:
@@ -427,6 +427,6 @@ def embed_form(form: Form, height_bound: int = 10) -> Lattice | None:
                 if m:
                     return Lattice(ctx, e1, e1 * ctx.elem(k, 1) / (2 * m))
                 e2 = e1 * Fraction(n, k) + e1.conj() * (k / (e1 * e1).trace())
-                if e1.u * e2.v - e2.u * e1.v > 0:
+                if _cross(e1, e2) > 0:
                     return Lattice(ctx, e1, e2)
     return None

@@ -512,6 +512,7 @@ CATALOG_SHA1 = {
     ("--dmin", "-400", "--dmax", "-3"): "3f5d134a69cb8cec57e8e3eca3e1c06e656867d2",
     ("--dmin", "5", "--dmax", "24", "--box", "8"): "f402ed64160912ea57bdeb27528b916b2dc46c65",
     ("--dmin", "5", "--dmax", "5", "--box", "3"): "ffd4815dd831c92a6fa14fe67c33a4bae7aa41e7",
+    ("--dmin", "5", "--dmax", "8", "--box", "6"): "73ef9cb5a2b387f8dd84a2d3b2e8f7ce3346e616",
     ("--dmin", "-100", "--dmax", "-3", "--format", "csv"):
         "49b67361fc6ed8df79c7b0997569146629382523",
     ("--dmin", "5", "--dmax", "12", "--box", "4", "--format", "csv"):

@@ -30,6 +30,7 @@ from normed_forms import (
     quadratic_order,
     sigma,
 )
+from normed_forms import lattices
 from normed_forms.forms import exact_sqrt, ext_gcd
 from normed_forms.lattices import _canonical_data
 
@@ -217,6 +218,74 @@ def test_lattice_equality_is_basis_free():
     assert lat == Lattice(ctx, e1, e2 - 3 * e1)
     assert lat != Lattice(ctx, 2 * e1, e2)
     assert lat == lat.canonicalized()
+
+
+def test_equal_lattices_hash_equal():
+    """Bases of one lattice hash alike and collapse to one set element."""
+    ctx = ctx23()
+    e1, e2 = ctx.elem(2, 0), ctx.elem(1, 1)
+    same = [
+        Lattice(ctx, e1, e2),
+        Lattice(ctx, e2, e1),
+        Lattice(ctx, e1 + e2, e2),
+        Lattice(ctx, e1, e2 - 3 * e1),
+        hnf_from_generators(ctx, [e1, e2, e1 + e2, 4 * e2 - e1]),
+        hnf_from_generators(ctx, [e2 - 3 * e1, 2 * e1, e2]),
+    ]
+    assert len({hash(lat) for lat in same}) == 1
+    assert len(set(same)) == 1
+    ctx4 = Context(-4)
+    other = [Lattice(ctx, 2 * e1, e2), Lattice(ctx4, ctx4.elem(2, 0), ctx4.elem(1, 1))]
+    assert len(set(same + other)) == 3
+
+
+def test_canonical_basis_is_computed_only_when_asked(monkeypatch):
+    """Building a lattice or testing an ideal never canonicalizes; each
+    product canonicalizes its generators once."""
+    calls = []
+
+    def counted(gens):
+        calls.append(len(gens))
+        return _canonical_data(gens)
+
+    monkeypatch.setattr(lattices, "_canonical_data", counted)
+    ctx = ctx23()
+    ideal = prime_over_two(ctx)
+    assert calls == []
+    assert ideal.is_ideal_of(-23)
+    assert calls == []
+    cube = ideal * ideal * ideal
+    assert calls == [4, 4]
+    assert cube.is_principal()
+    assert cube == cube.canonicalized() and len(calls) == 5
+
+
+def order_lattice_oracle(ctx, delta_star):
+    """order_lattice with tau/2 or (1 + tau)/2 chosen by hand, as it once was."""
+    s = exact_sqrt(Fraction(ctx.delta, delta_star))
+    if delta_star % 4 == 0:
+        omega = ctx.elem(0, Fraction(1, 2) / s)
+    else:
+        omega = ctx.elem(Fraction(1, 2), Fraction(1, 2) / s)
+    return Lattice(ctx, ctx.one(), omega)
+
+
+discriminants = st.integers(-60, 60).filter(lambda d: d != 0 and d % 4 in (0, 1))
+
+
+@given(discriminants, st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=150)
+@example(-3, 1, 2)
+@example(-4, 3, 1)
+def test_order_lattice_keeps_its_ordered_basis(delta, a, b):
+    """order_lattice and quadratic_order keep the hand-written bases exactly:
+    the same (e1, e2) and the same repr, not just the same lattice."""
+    ctx = Context(delta * a * a)
+    lat, expected = order_lattice(ctx, delta * b * b), order_lattice_oracle(ctx, delta * b * b)
+    assert (lat.e1, lat.e2) == (expected.e1, expected.e2)
+    assert repr(lat) == repr(expected)
+    order = quadratic_order(delta)
+    assert repr(order) == repr(order_lattice_oracle(Context(delta), delta))
 
 
 def test_membership_and_subset():
@@ -628,7 +697,7 @@ def test_canonical_data_matches_hand_reduction(delta, gens):
     elems = [ctx.elem(u, v) for u, v in gens]
     assert outcome(_canonical_data, elems) == outcome(canonical_data_oracle, elems)
     if len(elems) == 2:
-        # a lattice needs independent generators; the Hermite form's rank test decides
+        # a lattice needs independent generators, which its constructor checks
         e1, e2 = elems
         independent = e1.u * e2.v - e2.u * e1.v != 0
         assert (outcome(Lattice, ctx, e1, e2) != "ValueError") == independent
