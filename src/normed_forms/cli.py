@@ -49,6 +49,7 @@ from math import gcd, isqrt
 
 from .classify import (
     ClassificationReport,
+    _positive_divisors,
     full_classification,
     minus_minus_bounds,
     order3_verdict,
@@ -57,6 +58,7 @@ from .curve import curve_sample
 from .forms import (
     Definiteness,
     Form,
+    _is_discriminant,
     principal_form,
     reduced_forms,
     semigroup_probe,
@@ -68,7 +70,8 @@ _HYPERBOLIC_COMMENT = "# hyperbolic parametrization: s = sinh, c = cosh"
 MAX_CURVE_SAMPLES = 100_000
 # classify solves one row per x2 in [-box, 0] (about 0.8 s at the cap); the
 # same cap bounds the 2 * amax + 1 rows of a positive definite form's
-# minus-minus scan (minus_minus_bounds)
+# minus-minus scan (minus_minus_bounds), and cap + 1 the indefinite plus
+# search's box + 1 rows summed over the content's divisors
 MAX_CLASSIFY_BOX = 10**6
 # catalog solves for n at about (4/3) * box^2 pairs (m, k) per positive delta
 MAX_CATALOG_BOX = 1000
@@ -81,15 +84,14 @@ MAX_CATALOG_DISCRIMINANT = 10**5
 def _decimal(value):
     """value with every int, at any depth, as a decimal string.
 
-    Bools, None and strings pass through; tuples become lists.
+    Bools (by exact type), None and strings pass through; tuples become lists.
     """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
+    kind = type(value)
+    if kind is int:
         return str(value)
-    if isinstance(value, dict):
+    if kind is dict:
         return {key: _decimal(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
+    if kind is list or kind is tuple:
         return [_decimal(item) for item in value]
     return value
 
@@ -171,11 +173,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
             return _fail(f"the minus-minus search would solve {rows} rows, "
                          f"more than {MAX_CLASSIFY_BOX}", 2)
     elif kind is Definiteness.INDEFINITE:
-        # the plus search trial-divides the content up to its square root
-        root = isqrt(form.content())
+        # the plus search trial-divides the content up to its square root, then
+        # solves box + 1 rows per positive divisor (content 1 is always accepted)
+        content = form.content()
+        root = isqrt(content)
         if root > MAX_CLASSIFY_BOX:
             return _fail(f"the plus search would trial-divide up to {root}, "
                          f"more than {MAX_CLASSIFY_BOX}", 2)
+        rows = len(_positive_divisors(content)) * (args.box + 1)
+        if rows > MAX_CLASSIFY_BOX + 1:
+            return _fail(f"the plus search would solve {rows} rows, "
+                         f"more than {MAX_CLASSIFY_BOX + 1}", 2)
     start = time.perf_counter()
     report = full_classification(form, box_bound=args.box)
     record = {
@@ -296,7 +304,7 @@ def _catalog_records(dmin: int, dmax: int, box: int) -> Iterator[dict]:
     it is computed; each discriminant's forms are enumerated when it is
     reached, and share one orbit-probe dict."""
     for delta in range(dmin, dmax + 1):
-        if delta == 0 or delta % 4 not in (0, 1):
+        if not _is_discriminant(delta):
             continue
         forms = reduced_forms(delta) if delta < 0 else _positive_delta_forms(delta, box)
         probes: dict[tuple[int, int, int], tuple[bool, int]] = {}

@@ -183,7 +183,8 @@ class Form:
 
         Returns (g, M) where M has determinant 1 and g = self.transform(M) is
         the unique reduced representative: |k| <= m <= n with k >= 0 whenever
-        |k| = m or m = n.
+        |k| = m or m = n.  Each step translates k into (-m, m] or, with k
+        already there, swaps m and n; the loop stops on is_reduced().
         """
         if self.definiteness() is not Definiteness.POSITIVE_DEFINITE:
             raise ValueError("reduction requires a positive definite form")
@@ -191,19 +192,13 @@ class Form:
             raise ValueError("reduction requires a primitive form")
         f = self
         acc = IDENTITY
-        while True:
-            m, k, n = f.m, f.k, f.n
+        while not f.is_reduced():
+            m, k = f.m, f.k
             if k > m or k <= -m:
-                # translate k into (-m, m]
-                t = (m - k) // (2 * m)
-                step: Mat2 = ((1, t), (0, 1))
-            elif m > n:
-                step = ((0, -1), (1, 0))
-            elif k < 0 and m == n:
-                # k = -m cannot reach here: translation keeps k in (-m, m]
-                step = ((0, -1), (1, 0))
+                step: Mat2 = ((1, (m - k) // (2 * m)), (0, 1))
             else:
-                break
+                # m > n, or k < 0 with m = n (k = -m was translated)
+                step = ((0, -1), (1, 0))
             f = f.transform(step)
             acc = mat_mul(acc, step)
         return f, acc
@@ -508,20 +503,22 @@ def _nonresidue_primes(form: Form, disc: int, cap: int) -> list[tuple[int, int]]
             if pow(form.m if form.m % p else form.n, (p - 1) // 2, p) == p - 1]
 
 
-def principal_form(delta: int) -> Form:
-    """The principal form of discriminant delta.
+def _is_discriminant(delta: int) -> bool:
+    """Whether delta is the discriminant of a form: nonzero and 0 or 1 mod 4."""
+    return delta != 0 and delta % 4 in (0, 1)
 
-    (1, 0, -delta/4) for delta = 0 mod 4, (1, 1, (1-delta)/4) for
-    delta = 1 mod 4.
+
+def principal_form(delta: int) -> Form:
+    """The principal form (1, k, (k - delta)/4) of discriminant delta.
+
+    k = delta mod 2, the one k in {0, 1} with k^2 = delta mod 4 (the same k
+    as in lattices.Context.order_generator): (1, 0, -delta/4) for
+    delta = 0 mod 4, (1, 1, (1 - delta)/4) for delta = 1 mod 4.
     """
-    if delta == 0:
-        raise ValueError("discriminant must be nonzero")
-    r = delta % 4
-    if r == 0:
-        return Form(1, 0, -delta // 4)
-    if r == 1:
-        return Form(1, 1, (1 - delta) // 4)
-    raise ValueError("discriminant must be 0 or 1 mod 4")
+    if not _is_discriminant(delta):
+        raise ValueError("discriminant must be nonzero and 0 or 1 mod 4")
+    k = delta % 2
+    return Form(1, k, (k - delta) // 4)
 
 
 def reduced_forms(delta: int) -> list[Form]:
@@ -529,10 +526,8 @@ def reduced_forms(delta: int) -> list[Form]:
 
     Deterministic order: ascending |k|, then m, then sign of k (+ first).
     """
-    if delta >= 0:
-        raise ValueError("reduced-form enumeration requires delta < 0")
-    if delta % 4 not in (0, 1):
-        raise ValueError("discriminant must be 0 or 1 mod 4")
+    if delta >= 0 or not _is_discriminant(delta):
+        raise ValueError("reduced-form enumeration requires a discriminant delta < 0")
     out: list[Form] = []
     k = delta % 2
     while k * k <= -delta // 3:

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .forms import DegenerateFormError, Definiteness, Form, _row_solutions, exact_sqrt, hnf_rows
+from .forms import (DegenerateFormError, Definiteness, Form, _is_discriminant,
+                    _row_solutions, exact_sqrt, hnf_rows)
 from .matembed import Sublattice
 
 Rational = int | Fraction
@@ -50,10 +51,8 @@ class Context:
     delta: int
 
     def __post_init__(self) -> None:
-        if self.delta == 0:
-            raise ValueError("delta must be nonzero")
-        if self.delta % 4 not in (0, 1):
-            raise ValueError("delta must be 0 or 1 mod 4")
+        if not _is_discriminant(self.delta):
+            raise ValueError("discriminant must be nonzero and 0 or 1 mod 4")
 
     @property
     def eps(self) -> int:
@@ -70,10 +69,8 @@ class Context:
         return self.elem(0, 1)
 
     def order_generator(self) -> "QuadElem":
-        """tau/2 for delta = 0 mod 4, (1 + tau)/2 for delta = 1 mod 4."""
-        if self.delta % 4 == 0:
-            return self.elem(0, Fraction(1, 2))
-        return self.elem(Fraction(1, 2), Fraction(1, 2))
+        """(k + tau)/2 with k = delta mod 2, the k of forms.principal_form."""
+        return self.elem(Fraction(self.delta % 2, 2), Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -232,28 +229,26 @@ class Lattice:
         """4 delta (u1 v2 - u2 v1)^2; an integer for integer-normed lattices."""
         return 4 * self.ctx.delta * _cross(self.e1, self.e2) ** 2
 
-    def to_form(self) -> Form:
-        """(norm(e1), trace(e1 conj(e2)), norm(e2)) on a properly oriented basis.
-
-        The basis is used in the orientation matching (1, tau); generators are
-        swapped if needed.  Requires the three values to be integers.
-        """
+    def _integer_gram(self) -> tuple[int, int, int] | None:
+        """(norm(e1), trace(e1 conj(e2)), norm(e2)), the generators swapped into
+        the orientation of (1, tau); None unless all three are integers."""
         a, b = self.e1, self.e2
         if _cross(a, b) < 0:
             a, b = b, a
-        m = a.norm()
-        n = b.norm()
-        k = (a * b.conj()).trace()
-        if m.denominator != 1 or n.denominator != 1 or k.denominator != 1:
+        gram = (a.norm(), (a * b.conj()).trace(), b.norm())
+        if any(q.denominator != 1 for q in gram):
+            return None
+        return tuple(q.numerator for q in gram)
+
+    def to_form(self) -> Form:
+        """The norm form of the Gram values (_integer_gram); they must be integers."""
+        gram = self._integer_gram()
+        if gram is None:
             raise ValueError("lattice is not integer-normed")
-        return Form(int(m), int(k), int(n))
+        return Form(*gram)
 
     def is_integer_normed(self) -> bool:
-        return (
-            self.e1.norm().denominator == 1
-            and self.e2.norm().denominator == 1
-            and (self.e1 * self.e2.conj()).trace().denominator == 1
-        )
+        return self._integer_gram() is not None
 
     def scale(self, c: Rational) -> "Lattice":
         if c == 0:
@@ -369,8 +364,8 @@ def order_lattice(ctx: Context, delta_star: int) -> Lattice:
     Requires delta_star to generate the same quadratic extension as the
     context, i.e. ctx.delta / delta_star a positive rational square.
     """
-    if delta_star == 0 or delta_star % 4 not in (0, 1):
-        raise ValueError("delta_star must be a discriminant")
+    if not _is_discriminant(delta_star):
+        raise ValueError("discriminant must be nonzero and 0 or 1 mod 4")
     ratio = Fraction(ctx.delta, delta_star)
     if ratio <= 0:
         raise ValueError("context mismatch: discriminants of opposite sign")

@@ -238,11 +238,20 @@ def test_usage_errors_exit_two(capsys):
 def test_oversized_searches_exit_two(capsys, monkeypatch):
     """Positive definite forms whose minus-minus scan would solve more than
     MAX_CLASSIFY_BOX rows, indefinite forms whose plus search would
-    trial-divide their content beyond MAX_CLASSIFY_BOX, and catalog windows
-    beyond MAX_CATALOG_DISCRIMINANT, exit 2 before any search."""
+    trial-divide their content beyond MAX_CLASSIFY_BOX or solve more than
+    MAX_CLASSIFY_BOX + 1 rows over the content's divisors, and catalog
+    windows beyond MAX_CATALOG_DISCRIMINANT, exit 2 before any search."""
     # the largest classify-big forms (amax about 330) stay accepted
     code, out, _ = run(capsys, ["classify", "100000", "50000", "100000"])
     assert code == 0 and json.loads(out)["minus_decision"] == "decided"
+    # a content-1 form at the largest box, and the 240 divisors of 720720 at
+    # the default box, stay accepted with their former bytes
+    for argv, digest in ((["1", "3", "1", "--box", "1000000"],
+                          "f6b1acb0d0091f4a51e36c400db49c74bea0f11e"),
+                         (["720720", "720720", "-720720"],
+                          "b1f5499044a388e0047ff89fb4b30b8b27c2b292")):
+        code, out, _ = run(capsys, ["classify", *argv])
+        assert code == 0 and hashlib.sha1(out.encode()).hexdigest() == digest
     # any search would now fail
     monkeypatch.setattr(cli, "full_classification", None)
     monkeypatch.setattr(cli, "_catalog_records", None)
@@ -262,6 +271,12 @@ def test_oversized_searches_exit_two(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err == (f"error: the plus search would trial-divide up to {root}, "
                        f"more than {cap}\n")
+    # 240 divisors of 720720 times box + 1 rows each
+    code, out, err = run(capsys, ["classify", "720720", "720720", "-720720",
+                                  "--box", str(cap)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: the plus search would solve {240 * (cap + 1)} rows, "
+                   f"more than {cap + 1}\n")
     window_cap = cli.MAX_CATALOG_DISCRIMINANT
     message = (f"error: --dmin and --dmax must be at most {window_cap} "
                "in absolute value\n")
