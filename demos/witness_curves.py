@@ -6,7 +6,8 @@ one-parameter real curve: an ellipse pair for definite forms, hyperbolic
 branches otherwise.  Integer witnesses are exactly the integer points on
 the curve, which is what certifies the finite search box.  The script
 samples the curve for (4, 2, 6) and (2, 1, 3), locates the integer witness
-of the latter, and checks the embedding matrices that generate the curve.
+of the latter, shows how the sign of k enters an indefinite curve, and
+checks the embedding matrices that generate the curve.
 """
 
 import math
@@ -70,25 +71,24 @@ def main():
           f" (distance {err:.2e})")
 
     print()
-    form = Form(1, 3, 1)
-    print(f"indefinite {form}: hyperbolic parametrization, two branches")
-    for branch in (1, -1):
-        point = curve_sample(form, [0.0], branch=branch)[0]
-        print(f"  branch {branch:+d} at theta 0:"
-              f" ({point.a:+.1f}, {point.b:+.1f}, {point.c:+.1f}, {point.d:+.1f})")
+    for form in (Form(1, 3, 1), Form(1, -3, 1)):
+        print(f"indefinite {form}: hyperbolic parametrization, two branches")
+        for branch in (1, -1):
+            point = curve_sample(form, [0.0], branch=branch)[0]
+            print(f"  branch {branch:+d} at theta 0:"
+                  f" ({point.a:+.1f}, {point.b:+.1f}, {point.c:+.1f}, {point.d:+.1f})")
+    print("  (k < 0 negates beta and delta of the embedding, hence c and d)")
 
     print()
     print("the curve is generated by a matrix embedding; its realized")
-    print("coefficients reproduce the form:")
+    print("coefficients reproduce the form, and so does its quadruple:")
     form = Form(2, 1, 3)
     emb = curve_embedding(form, 0.7)
-    eps = 1 if form.discriminant() < 0 else -1
     print(f"  realized_coefficients at theta 0.7: "
-          f"{tuple(round(c, 9) for c in emb.realized_coefficients(eps))}")
-    quad = embedding_to_quadruple(emb, eps)
-    direct = curve_quadruple(form, 0.7)
-    drift = max(abs(p - q) for p, q in zip(quad, direct))
-    print(f"  embedding route and direct route agree to {drift:.2e}")
+          f"{tuple(round(c, 9) for c in emb.realized_coefficients())}")
+    a, b, c, d = embedding_to_quadruple(emb)
+    equations = (a * a - c * d, a * c - b * d, c * c - a * b)
+    print(f"  (a^2 - cd, ac - bd, c^2 - ab) = {tuple(round(v, 9) for v in equations)}")
 
 
 if __name__ == "__main__":

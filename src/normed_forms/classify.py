@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import isqrt
 
 from .forms import (
@@ -215,14 +216,17 @@ def search_plus(
     return None, Decision.DECIDED if exact else Decision.BOUNDED
 
 
-def _positive_divisors(value: int) -> list[int]:
+@lru_cache(maxsize=1)
+def _positive_divisors(value: int) -> tuple[int, ...]:
+    """Positive divisors of value, ascending; the last answer is kept, so the
+    classify pre-flight and search_plus trial-divide a content once."""
     divs: list[int] = []
     for d in range(1, isqrt(value) + 1):
         if value % d == 0:
             divs.append(d)
             if d * d != value:
                 divs.append(value // d)
-    return sorted(divs)
+    return tuple(sorted(divs))
 
 
 def full_classification(form: Form, box_bound: int = 100) -> ClassificationReport:

@@ -23,7 +23,8 @@ The catalog command writes records to stdout one by one as they are computed,
 in canonical order (ascending discriminant, then enumeration order of the
 forms), so the JSON lines of adjacent sub-windows concatenate to the full
 window's bytes and a wide window can be split across concurrent runs; --out
-collects the whole catalog and replaces the file atomically.
+streams them into a temporary file beside the target and then replaces the
+target atomically.
 
 The catalog's semigroup_* fields: a positive definite form with a plus or
 minus-minus witness is closed by proof (ClassificationReport.has_witness) and
@@ -43,7 +44,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from math import gcd, isqrt
 
@@ -356,25 +357,24 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         for line in lines:
             sys.stdout.write(line)
         return 0
-    text = "".join(lines)
     try:
-        _write_atomically(args.out, text)
+        _write_atomically(args.out, lines)
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}", 4)
     return 0
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it onto path.
+def _write_atomically(path: str, lines: Iterable[str]) -> None:
+    """Stream lines into a temporary file beside path, then rename it onto path.
 
-    A failure leaves path as it was (never truncated) and removes the
-    temporary file.
+    A failure, in the writes or in producing the lines, leaves path as it was
+    (never truncated) and removes the temporary file.
     """
     temporary = f"{path}.{os.getpid()}.tmp"
     handle = open(temporary, "x", encoding="utf-8")
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(lines)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, path)
@@ -402,9 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
         classify.add_argument(name, type=int)
     classify.add_argument("--box", type=int, default=100,
                           help="search bound for indefinite forms, "
-                          f"0 to {MAX_CLASSIFY_BOX}; positive definite forms "
-                          f"whose minus-minus scan exceeds {MAX_CLASSIFY_BOX} "
-                          "rows are rejected")
+                          f"0 to {MAX_CLASSIFY_BOX}; rejected at once are "
+                          "positive definite forms whose minus-minus scan "
+                          f"exceeds {MAX_CLASSIFY_BOX} rows, and indefinite forms "
+                          "whose content's square root exceeds "
+                          f"{MAX_CLASSIFY_BOX} or whose plus search would solve "
+                          f"more than {MAX_CLASSIFY_BOX + 1} rows")
     classify.add_argument("--strict", action="store_true",
                           help="exit 3 when any verdict is merely bounded")
     classify.add_argument("--timing", action="store_true", help="attach elapsed_ms")

@@ -1,11 +1,11 @@
 """The real witness curve of a form (floating point).
 
 For m > 0 and n > 0, theta sweeps out embeddings (alpha, beta, gamma, delta)
-and minus-minus quadruples (a, b, c, d) realizing the form over the reals,
-using circular functions in the definite case and hyperbolic ones in the
-indefinite case.  The exact witness bounds of classify.minus_minus_bounds
-come from this parametrization; the curve itself serves plotting and
-cross-checks, and nothing exact depends on it.
+realizing the form over the reals, using circular functions in the definite
+case and hyperbolic ones in the indefinite case; each embedding induces a
+minus-minus quadruple (a, b, c, d).  The exact witness bounds of
+classify.minus_minus_bounds come from this parametrization; the curve itself
+serves plotting and cross-checks, and nothing exact depends on it.
 """
 
 from __future__ import annotations
@@ -40,18 +40,19 @@ class EmbeddingMatrix:
     beta: float
     gamma: float
     delta: float
+    eps: int
 
-    def realized_coefficients(self, eps: int = 1) -> tuple[float, float, float]:
+    def realized_coefficients(self) -> tuple[float, float, float]:
         """(m, k, n) this embedding induces, for checking against a form."""
         return (
-            self.alpha * self.alpha + eps * self.gamma * self.gamma,
-            2 * (self.alpha * self.beta + eps * self.gamma * self.delta),
-            self.beta * self.beta + eps * self.delta * self.delta,
+            self.alpha * self.alpha + self.eps * self.gamma * self.gamma,
+            2 * (self.alpha * self.beta + self.eps * self.gamma * self.delta),
+            self.beta * self.beta + self.eps * self.delta * self.delta,
         )
 
 
-def _curve_context(form: Form):
-    """(phase, sin-like, cos-like) for the witness curve of the form."""
+def _curve_context(form: Form) -> tuple[float, int]:
+    """(phase, eps) of the witness curve; eps is +1 circular, -1 hyperbolic."""
     kind = form.definiteness()
     if kind is Definiteness.DEGENERATE:
         raise DegenerateFormError("the witness curve needs a nondegenerate form")
@@ -66,13 +67,8 @@ def _curve_context(form: Form):
         ) from None
     if kind is Definiteness.POSITIVE_DEFINITE:
         phase = math.acos(ratio)
-        if k < 0:
-            phase = -phase
-        return phase, math.sin, math.cos
-    phase = math.acosh(abs(ratio))
-    if k < 0:
-        phase = -phase
-    return phase, math.sinh, math.cosh
+        return (-phase if k < 0 else phase), 1
+    return math.acosh(abs(ratio)), -1
 
 
 def curve_phase(form: Form) -> float:
@@ -81,50 +77,36 @@ def curve_phase(form: Form) -> float:
 
 
 def curve_embedding(form: Form, theta: float, branch: int = 1) -> EmbeddingMatrix:
-    """Point (alpha, beta, gamma, delta) of the real embedding curve."""
-    phase, s, c = _curve_context(form)
-    m, _, n = form.coefficients()
-    sm, sn = math.sqrt(m), math.sqrt(n)
+    """Point (alpha, beta, gamma, delta) of the real embedding curve.
+
+    cosh is even, so a hyperbolic phase cannot carry the sign of k; for an
+    indefinite form with k < 0 the curve negates beta and delta instead.
+    """
+    phase, eps = _curve_context(form)
+    s, c = (math.sin, math.cos) if eps == 1 else (math.sinh, math.cosh)
+    m, k, n = form.coefficients()
     sign = 1 if branch >= 0 else -1
+    sm = sign * math.sqrt(m)
+    sn = sign * math.sqrt(n) * (-1 if eps == -1 and k < 0 else 1)
     return EmbeddingMatrix(
-        alpha=sign * sm * c(theta),
-        beta=sign * sn * c(theta + phase),
-        gamma=sign * sm * s(theta),
-        delta=sign * sn * s(theta + phase),
+        alpha=sm * c(theta),
+        beta=sn * c(theta + phase),
+        gamma=sm * s(theta),
+        delta=sn * s(theta + phase),
+        eps=eps,
     )
 
 
-def curve_quadruple(
-    form: Form, theta: float, branch: int = 1
-) -> tuple[float, float, float, float]:
-    """Point (a, b, c, d) of the real minus-minus witness curve."""
-    phase, s, c = _curve_context(form)
-    m, _, n = form.coefficients()
-    sm, sn = math.sqrt(m), math.sqrt(n)
-    sp = s(phase)
-    sign = 1 if branch >= 0 else -1
-    ca = c(theta + phase)
-    cd = c(theta)
-    return (
-        sign * sm * s(3 * theta + phase) / sp,
-        sign * (n / sm) * s(theta + phase) * (4 * ca * ca - 1) / sp,
-        sign * sn * s(3 * theta + 2 * phase) / sp,
-        sign * (m / sn) * s(theta) * (4 * cd * cd - 1) / sp,
-    )
-
-
-def embedding_to_quadruple(
-    emb: EmbeddingMatrix, eps: int = 1
-) -> tuple[float, float, float, float]:
+def embedding_to_quadruple(emb: EmbeddingMatrix) -> tuple[float, float, float, float]:
     """Recover the quadruple a witness embedding induces.
 
-    eps is +1 in the definite (circular) case and -1 in the indefinite
-    (hyperbolic) case.  Requires alpha delta - beta gamma != 0.
-    """
-    alpha, beta, gamma, delta = emb.alpha, emb.beta, emb.gamma, emb.delta
+    Requires w = alpha delta - beta gamma != 0 with at least half its bits left
+    after the cancellation; far out on a hyperbola both products grow like
+    exp(2 |theta|) while w stays fixed, and ZeroDivisionError says so."""
+    alpha, beta, gamma, delta, eps = emb.alpha, emb.beta, emb.gamma, emb.delta, emb.eps
     w = alpha * delta - beta * gamma
-    if w == 0:
-        raise ZeroDivisionError("embedding is degenerate")
+    if abs(w) <= 2**-26 * (abs(alpha * delta) + abs(beta * gamma)):
+        raise ZeroDivisionError("embedding is degenerate to floating-point precision")
     a = (delta * (alpha * alpha - eps * gamma * gamma) + 2 * alpha * beta * gamma) / w
     b = delta * (3 * beta * beta - eps * delta * delta) / w
     c = (gamma * (beta * beta - eps * delta * delta) + 2 * alpha * beta * delta) / w
@@ -132,15 +114,25 @@ def embedding_to_quadruple(
     return a, b, c, d
 
 
+def curve_quadruple(
+    form: Form, theta: float, branch: int = 1
+) -> tuple[float, float, float, float]:
+    """Point (a, b, c, d) of the real minus-minus witness curve."""
+    return embedding_to_quadruple(curve_embedding(form, theta, branch))
+
+
 def curve_sample(form: Form, thetas, branch: int = 1) -> list[CurvePoint]:
     """Evaluate the witness curve at the given parameter values."""
     points = []
     for theta in thetas:
         try:
-            a, b, c, d = curve_quadruple(form, theta, branch)
-        except OverflowError:
+            quad = curve_quadruple(form, theta, branch)
+            finite = all(map(math.isfinite, quad))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
             raise ValueError(
                 f"the witness curve leaves the floating-point range at theta = {theta}"
-            ) from None
-        points.append(CurvePoint(theta=float(theta), a=a, b=b, c=c, d=d))
+            )
+        points.append(CurvePoint(float(theta), *quad))
     return points

@@ -531,17 +531,16 @@ def reduced_forms(delta: int) -> list[Form]:
     out: list[Form] = []
     k = delta % 2
     while k * k <= -delta // 3:
-        mn4 = k * k - delta
-        if mn4 % 4 == 0:
-            mn = mn4 // 4
-            for m in range(max(k, 1), isqrt(mn) + 1):
-                if mn % m:
-                    continue
-                n = mn // m
-                if gcd(m, k, n) != 1:
-                    continue
-                out.append(Form(m, k, n))
-                if 0 < k < m < n:
-                    out.append(Form(m, -k, n))
+        # k = delta mod 2 gives k^2 = delta mod 4, so mn is an integer
+        mn = (k * k - delta) // 4
+        for m in range(max(k, 1), isqrt(mn) + 1):
+            if mn % m:
+                continue
+            n = mn // m
+            if gcd(m, k, n) != 1:
+                continue
+            out.append(Form(m, k, n))
+            if 0 < k < m < n:
+                out.append(Form(m, -k, n))
         k += 2
     return out

@@ -23,7 +23,6 @@ from normed_forms import (
     curve_phase,
     curve_quadruple,
     curve_sample,
-    embedding_to_quadruple,
     full_classification,
     is_normed,
     make_minus_minus,
@@ -211,6 +210,7 @@ def test_curve_phase_values():
     assert close(curve_phase(Form(4, 2, 6)), math.acos(2 / math.sqrt(96)))
     assert close(curve_phase(Form(2, -1, 3)), -math.acos(-1 / math.sqrt(24)))
     assert close(curve_phase(Form(1, 3, 1)), math.acosh(3 / 2))
+    assert close(curve_phase(Form(1, -3, 1)), math.acosh(3 / 2))
 
 
 def test_curve_sample_fixed_points():
@@ -242,48 +242,91 @@ def test_curve_rejects_unusable_forms():
             curve_phase(form)
         with pytest.raises(ValueError, match="too large"):
             curve_embedding(form, 0.0)
-    with pytest.raises(ValueError, match="floating-point range"):
-        curve_sample(Form(1, 3, 1), [1000.0])
+    # overflow, a phase that rounds to 0, and w = alpha delta - beta gamma
+    # lost to cancellation far out on a hyperbola
+    for form, theta in ((Form(1, 3, 1), 1000.0), (Form(1, 10**300, 1), 0.0),
+                        (Form(10**20, 2 * 10**20 + 1, 10**20), 0.0),
+                        (Form(10**17, 2 * 10**17 - 1, 10**17), 0.0),
+                        (Form(1, 3, 1), 12.0), (Form(1, -3, 1), -12.0)):
+        with pytest.raises(ValueError, match="floating-point range"):
+            curve_sample(form, [theta])
+
+
+CURVE_FORMS = [(4, 2, 6), (2, 1, 3), (1, 0, 1), (3, -1, 5), (1, 3, 1), (2, 5, 1),
+               (1, -3, 1), (2, -5, 1)]
 
 
 @given(
-    st.sampled_from([(4, 2, 6), (2, 1, 3), (1, 0, 1), (3, -1, 5), (1, 3, 1), (2, 5, 1)]),
+    st.sampled_from(CURVE_FORMS),
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
 )
 @settings(max_examples=120)
 def test_embedding_realizes_coefficients(coeffs, theta):
     """alpha^2 + eps gamma^2 = m, 2(alpha beta + eps gamma delta) = k, ..."""
     f = Form(*coeffs)
-    eps = 1 if f.discriminant() < 0 else -1
     emb = curve_embedding(f, theta)
-    got = emb.realized_coefficients(eps)
-    for value, target in zip(got, f.coefficients()):
+    assert emb.eps == (1 if f.discriminant() < 0 else -1)
+    for value, target in zip(emb.realized_coefficients(), f.coefficients()):
         assert close(value, target, 1e-7)
 
 
+def closed_form_quadruple(form, theta, branch=1):
+    """The closed trigonometric formula for a curve point, kept as an oracle.
+
+    It holds for definite forms and for indefinite forms with k > 0.
+    """
+    m, k, n = form.coefficients()
+    ratio = k / math.sqrt(4 * m * n)
+    if form.discriminant() < 0:
+        phase = math.acos(ratio)
+        if k < 0:
+            phase = -phase
+        s, c = math.sin, math.cos
+    else:
+        phase, s, c = math.acosh(ratio), math.sinh, math.cosh
+    sm, sn = math.sqrt(m), math.sqrt(n)
+    sp = s(phase)
+    sign = 1 if branch >= 0 else -1
+    ca = c(theta + phase)
+    cd = c(theta)
+    return (
+        sign * sm * s(3 * theta + phase) / sp,
+        sign * (n / sm) * s(theta + phase) * (4 * ca * ca - 1) / sp,
+        sign * sn * s(3 * theta + 2 * phase) / sp,
+        sign * (m / sn) * s(theta) * (4 * cd * cd - 1) / sp,
+    )
+
+
 @given(
-    st.sampled_from([(4, 2, 6), (2, 1, 3), (1, 0, 1), (3, -1, 5), (1, 3, 1), (2, 5, 1)]),
+    st.sampled_from(CURVE_FORMS),
     st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+    st.sampled_from([1, -1]),
 )
 @settings(max_examples=120)
-def test_quadruple_routes_agree(coeffs, theta):
-    """curve_quadruple equals embedding_to_quadruple of the curve embedding."""
+def test_curve_matches_closed_form_oracle(coeffs, theta, branch):
+    """curve_quadruple equals the closed formula; an indefinite form with
+    k < 0 gets the point (a, b, -c, -d) of the form with k > 0 (x2 -> -x2)."""
     f = Form(*coeffs)
-    eps = 1 if f.discriminant() < 0 else -1
-    direct = curve_quadruple(f, theta)
-    via = embedding_to_quadruple(curve_embedding(f, theta), eps)
-    for x, y in zip(direct, via):
+    got = curve_quadruple(f, theta, branch)
+    if f.discriminant() > 0 and f.k < 0:
+        a, b, c, d = closed_form_quadruple(Form(f.m, -f.k, f.n), theta, branch)
+        expected = (a, b, -c, -d)
+    else:
+        expected = closed_form_quadruple(f, theta, branch)
+    for x, y in zip(got, expected):
         assert close(x, y, 1e-7)
 
 
 @given(
-    st.sampled_from([(4, 2, 6), (2, 1, 3), (1, 0, 1), (3, -1, 5)]),
+    st.sampled_from(CURVE_FORMS),
     st.floats(min_value=0.0, max_value=6.3, allow_nan=False),
 )
 @settings(max_examples=150)
 def test_curve_points_solve_witness_equations(coeffs, theta):
     """(a, b, c, d) on the curve satisfies the three equations over the reals."""
     f = Form(*coeffs)
+    if f.discriminant() > 0:
+        theta = theta / 3.15 - 1  # the points grow like exp(3 |theta|)
     (pt,) = curve_sample(f, [theta])
     assert close(pt.a**2 - pt.c * pt.d, f.m, 1e-7)
     assert close(pt.a * pt.c - pt.b * pt.d, f.k, 1e-7)

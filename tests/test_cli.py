@@ -5,9 +5,13 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+import tracemalloc
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -177,7 +181,9 @@ def test_curve_rejects_zero_sides(capsys):
                  ["1", "0", huge], ["1", huge, "1"], ["1", str(10**300), "1"],
                  ["1", "0", "1", "--theta-max", "nan"], ["1", "0", "1", "--theta-max", "inf"],
                  ["1", "0", "1", "--theta-min=-inf"],
-                 ["1", "0", "1", "--theta-min", "1e308", "--theta-max=-1e308"]):
+                 ["1", "0", "1", "--theta-min", "1e308", "--theta-max=-1e308"],
+                 [str(10**20), str(2 * 10**20 + 1), str(10**20)],
+                 ["1", "3", "1", "--theta-min", "12"]):
         code, out, err = run(capsys, ["curve", *argv])
         assert code == 2 and out == ""
         assert err.startswith("error:")
@@ -285,6 +291,18 @@ def test_oversized_searches_exit_two(capsys, monkeypatch):
         code, out, err = run(capsys, ["catalog", "--dmin", str(window[0]),
                                       "--dmax", str(window[1])])
         assert (code, out, err) == (2, "", message)
+
+
+def test_classify_divides_content_once(capsys):
+    """The indefinite pre-flight and search_plus share one trial division of
+    the content."""
+    divisors = cli._positive_divisors
+    divisors.cache_clear()
+    code, _, _ = run(capsys, ["classify", "720720", "720720", "-720720"])
+    assert code == 0
+    info = divisors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert divisors(12) == (1, 2, 3, 4, 6, 12)
 
 
 def test_catalog_jsonl_window(capsys):
@@ -415,10 +433,13 @@ def test_catalog_empty_window(capsys):
 
 
 def test_catalog_rejects_mixed_window(capsys):
-    """Ranges crossing zero are a usage error."""
-    code, _, err = run(capsys, ["catalog", "--dmin", "-5", "--dmax", "5"])
-    assert code == 2
-    assert "error" in err
+    """Ranges crossing zero, reversed ranges and a positive window with
+    --box 0 are usage errors."""
+    for window in (["--dmin", "-5", "--dmax", "5"], ["--dmin", "-3", "--dmax", "-4"],
+                   ["--dmin", "5", "--dmax", "8", "--box", "0"]):
+        code, out, err = run(capsys, ["catalog", *window])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 def test_catalog_positive_window(capsys):
@@ -490,6 +511,47 @@ def test_catalog_out_failed_replace_keeps_target(capsys, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_catalog_out_streams_lines(capsys, tmp_path):
+    """--out writes each line as it is computed: the traced allocation peak
+    stays below half of the file it writes (the joined text alone would
+    exceed it)."""
+    target = tmp_path / "window.jsonl"
+    # a first run leaves lazy imports and one-time allocations out of the trace
+    run(capsys, ["catalog", "--dmin", "-23", "--dmax", "-23", "--out", str(target)])
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, ["catalog", "--dmin", "-400", "--dmax", "-3",
+                                  "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = target.stat().st_size
+    assert size > 300_000
+    assert peak < size / 2, (peak, size)
+
+
+def test_catalog_out_error_mid_window_keeps_target(monkeypatch, tmp_path):
+    """An exception raised while the window is still being computed leaves
+    the old file and no temporary."""
+    target = tmp_path / "window.jsonl"
+    target.write_text("old\n")
+    compute, calls = cli._catalog_record, []
+
+    def record(delta, shape, probes):
+        calls.append(delta)
+        if len(calls) == 5:
+            raise RuntimeError("record failed")
+        return compute(delta, shape, probes)
+
+    monkeypatch.setattr(cli, "_catalog_record", record)
+    with pytest.raises(RuntimeError, match="record failed"):
+        main(["catalog", "--dmin", "-60", "--dmax", "-3", "--out", str(target)])
+    assert len(calls) == 5
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 # exact stdout covering every record shape (form, matrix, plus parameters,
 # quadruple, bools, nulls), so any change to serialization shows byte for byte
 STDOUT_PINS = {
@@ -557,6 +619,42 @@ def test_catalog_shards_concatenate(capsys, shards, window):
         assert code == 0 and shard
         out += shard
     assert hashlib.sha1(out.encode()).hexdigest() == CATALOG_SHA1[window]
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def workflow_digest_pins() -> list[tuple[list[str], str]]:
+    """(commands, SHA-1) of each CI step line `digest=$(... | sha1sum ...)`,
+    with the digest that the step's next line tests; a `(a; b)` group gives
+    the commands whose outputs concatenate."""
+    lines = WORKFLOW.read_text().splitlines()
+    pins = []
+    for line, check in zip(lines, lines[1:]):
+        found = re.search(r"digest=\$\((.*)\| sha1sum", line)
+        if found:
+            commands = [c.strip(" ()") for c in found.group(1).split(";")]
+            digest = re.fullmatch(r'\s*test "\$digest" = ([0-9a-f]{40})', check)
+            pins.append((commands, digest.group(1)))
+    return pins
+
+
+def test_workflow_digests_match_in_process_output(capsys):
+    """Every catalog and verify digest that CI pins equals the SHA-1 of the
+    same commands run in process, so CI and these tests cannot drift."""
+    pins = workflow_digest_pins()
+    assert len(pins) >= 7
+    assert {shlex.split(c)[1] for commands, _ in pins for c in commands} == {
+        "catalog", "verify"}
+    for commands, digest in pins:
+        out = ""
+        for command in commands:
+            program, *argv = shlex.split(command)
+            assert program == "normed-forms"
+            code, text, _ = run(capsys, argv)
+            assert code == 0
+            out += text
+        assert hashlib.sha1(out.encode()).hexdigest() == digest, commands
 
 
 def test_decimal_renders_only_ints():

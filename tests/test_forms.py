@@ -122,6 +122,7 @@ def test_reduce_examples():
     assert Form(1, 1, 6).reduce() == (Form(1, 1, 6), IDENTITY)
     assert Form(2, 1, 3).is_reduced()
     assert not Form(3, 4, 2).is_reduced()
+    assert not Form(1, 3, 1).is_reduced()  # indefinite
 
 
 def test_reduce_requires_positive_definite_primitive():
@@ -197,6 +198,9 @@ def test_reduced_forms_class_lists():
     assert len(reduced_forms(-47)) == 5
     assert len(reduced_forms(-71)) == 7
     assert len(reduced_forms(-163)) == 1
+    for delta in (5, 8, -5, -6):  # positive, or not 0 or 1 mod 4
+        with pytest.raises(ValueError):
+            reduced_forms(delta)
 
 
 @given(st.integers(-150, -1).filter(lambda d: d % 4 in (0, 1)))
