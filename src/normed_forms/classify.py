@@ -29,13 +29,22 @@ forms no normed pairing exists at all: the right side of
 f(s(x, y)) = f(x) f(y) is positive on nonzero arguments while the left side
 never is.  Indefinite forms get an honest box search; a miss is then merely
 BOUNDED, not a proof.
+
+full_classification raises ValueError for an input over its search budget,
+before it solves any row.  First it caps a positive definite form's
+minus-minus scan at MAX_CLASSIFY_BOX rows (2 amax + 1, minus_minus_bounds),
+since the plus search solves rows too; 4mn >= |disc| makes amax at least
+isqrt(content), which bounds the plus search's divisor loop.  search_plus
+caps its trial division, isqrt(content), at MAX_CLASSIFY_BOX and an
+indefinite form's rows, box + 1 per positive divisor of the content, at
+MAX_CLASSIFY_BOX + 1; as 1 divides every content, the box is capped too,
+and with it the 2 box + 1 rows of the minus-minus scan, which runs second.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import isqrt
 
 from .forms import (
@@ -46,6 +55,10 @@ from .forms import (
     floor_sqrt_ratio,
 )
 from .pairings import PlusParams, Quadruple
+
+# one row per x2 in [-box, 0] for content 1, about 0.8 s at the cap; the same
+# cap bounds every search of full_classification (module docstring)
+MAX_CLASSIFY_BOX = 10**6
 
 
 class Decision(Enum):
@@ -198,7 +211,8 @@ def search_plus(
     Needs a positive divisor r of the content with g = form / r representing
     r; then form = r * g and any of the three plus constructors on
     (g.m, g.k, g.n, p, q) is a witness.  Negative r would only negate both
-    members of the pair (r, g) and gives nothing new.
+    members of the pair (r, g) and gives nothing new.  Over its two limits
+    (module docstring) it raises ValueError before it solves any row.
     """
     kind = form.definiteness()
     if kind is Definiteness.DEGENERATE:
@@ -207,7 +221,16 @@ def search_plus(
         return None, Decision.DECIDED
     exact = kind is Definiteness.POSITIVE_DEFINITE
     content = form.content()
-    for r in _positive_divisors(content):
+    root = isqrt(content)
+    if root > MAX_CLASSIFY_BOX:
+        raise ValueError(f"the plus search would trial-divide up to {root}, "
+                         f"more than {MAX_CLASSIFY_BOX}")
+    divisors = _positive_divisors(content)
+    rows = len(divisors) * (box_bound + 1)
+    if not exact and rows > MAX_CLASSIFY_BOX + 1:
+        raise ValueError(f"the plus search would solve {rows} rows, "
+                         f"more than {MAX_CLASSIFY_BOX + 1}")
+    for r in divisors:
         g = Form(form.m // r, form.k // r, form.n // r)
         sol = g.represent(r, box_bound)
         if sol is not None:
@@ -216,30 +239,31 @@ def search_plus(
     return None, Decision.DECIDED if exact else Decision.BOUNDED
 
 
-@lru_cache(maxsize=1)
-def _positive_divisors(value: int) -> tuple[int, ...]:
-    """Positive divisors of value, ascending; the last answer is kept, so the
-    classify pre-flight and search_plus trial-divide a content once."""
-    divs: list[int] = []
-    for d in range(1, isqrt(value) + 1):
-        if value % d == 0:
-            divs.append(d)
-            if d * d != value:
-                divs.append(value // d)
-    return tuple(sorted(divs))
+def _positive_divisors(value: int) -> list[int]:
+    """Positive divisors of value, ascending."""
+    small = [d for d in range(1, isqrt(value) + 1) if value % d == 0]
+    return small + [value // d for d in reversed(small) if d * d != value]
 
 
 def full_classification(form: Form, box_bound: int = 100) -> ClassificationReport:
-    """Run both searches and bundle the outcome.
+    """Run both searches within the budget and bundle the outcome.
 
     One witness parameter set serves all three plus types at once, so the
     report never shows a proper nonempty subset of them.
     """
+    kind = form.definiteness()
+    if kind is Definiteness.DEGENERATE:
+        raise DegenerateFormError("classification requires a nondegenerate form")
+    if kind is Definiteness.POSITIVE_DEFINITE:
+        rows = 2 * minus_minus_bounds(form)[0] + 1
+        if rows > MAX_CLASSIFY_BOX:
+            raise ValueError(f"the minus-minus search would solve {rows} rows, "
+                             f"more than {MAX_CLASSIFY_BOX}")
     plus_params, plus_decision = search_plus(form, box_bound)
     quad, minus_decision = search_minus_minus(form, box_bound)
     return ClassificationReport(
         form=form,
-        definiteness=form.definiteness(),
+        definiteness=kind,
         plus_params=plus_params,
         plus_decision=plus_decision,
         minus_quadruple=quad,

@@ -15,9 +15,10 @@ place where integers become strings, for JSON and CSV alike.
 Output bytes are deterministic for fixed inputs and flags; wall-clock timing
 is only attached when --timing is passed, and never in catalog records.
 
-Exit codes: 0 success, 1 verification negative, 2 input error,
-3 inconclusive under --strict, 4 I/O failure (a reader that closes stdout
-early, as `| head` does, included; it exits quietly).
+Exit codes: 0 success, 1 verification negative, 2 input error (for classify,
+the ValueError of an over-budget full_classification), 3 inconclusive under
+--strict, 4 I/O failure (a reader that closes stdout early, as `| head`
+does, included; it exits quietly).
 
 The catalog command writes records to stdout one by one as they are computed,
 in canonical order (ascending discriminant, then enumeration order of the
@@ -49,10 +50,9 @@ from itertools import chain
 from math import gcd, isqrt
 
 from .classify import (
+    MAX_CLASSIFY_BOX,
     ClassificationReport,
-    _positive_divisors,
     full_classification,
-    minus_minus_bounds,
     order3_verdict,
 )
 from .curve import curve_sample
@@ -69,11 +69,6 @@ from .pairings import Pairing, is_normed, type_of
 _HYPERBOLIC_COMMENT = "# hyperbolic parametrization: s = sinh, c = cosh"
 # curve builds every theta and point in memory, so --samples is bounded
 MAX_CURVE_SAMPLES = 100_000
-# classify solves one row per x2 in [-box, 0] (about 0.8 s at the cap); the
-# same cap bounds the 2 * amax + 1 rows of a positive definite form's
-# minus-minus scan (minus_minus_bounds), and cap + 1 the indefinite plus
-# search's box + 1 rows summed over the content's divisors
-MAX_CLASSIFY_BOX = 10**6
 # catalog solves for n at about (4/3) * box^2 pairs (m, k) per positive delta
 MAX_CATALOG_BOX = 1000
 # catalog classifies and probes each reduced form of a negative discriminant,
@@ -163,30 +158,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.box > MAX_CLASSIFY_BOX:
         return _fail(f"--box must be at most {MAX_CLASSIFY_BOX}", 2)
     form = Form(args.m, args.k, args.n)
-    if form.discriminant() == 0:
-        return _fail("classification requires a nondegenerate form", 2)
-    kind = form.definiteness()
-    if kind is Definiteness.POSITIVE_DEFINITE:
-        # 4mn >= |disc| gives amax >= isqrt(m) >= isqrt(content), so this
-        # also bounds the divisor loop of the plus search
-        rows = 2 * minus_minus_bounds(form)[0] + 1
-        if rows > MAX_CLASSIFY_BOX:
-            return _fail(f"the minus-minus search would solve {rows} rows, "
-                         f"more than {MAX_CLASSIFY_BOX}", 2)
-    elif kind is Definiteness.INDEFINITE:
-        # the plus search trial-divides the content up to its square root, then
-        # solves box + 1 rows per positive divisor (content 1 is always accepted)
-        content = form.content()
-        root = isqrt(content)
-        if root > MAX_CLASSIFY_BOX:
-            return _fail(f"the plus search would trial-divide up to {root}, "
-                         f"more than {MAX_CLASSIFY_BOX}", 2)
-        rows = len(_positive_divisors(content)) * (args.box + 1)
-        if rows > MAX_CLASSIFY_BOX + 1:
-            return _fail(f"the plus search would solve {rows} rows, "
-                         f"more than {MAX_CLASSIFY_BOX + 1}", 2)
     start = time.perf_counter()
-    report = full_classification(form, box_bound=args.box)
+    try:
+        report = full_classification(form, box_bound=args.box)
+    except ValueError as exc:  # includes DegenerateFormError
+        return _fail(str(exc), 2)
     record = {
         "command": "classify",
         "form": form.coefficients(),

@@ -36,6 +36,8 @@ from normed_forms import (
     semigroup_probe,
     type_of,
 )
+from normed_forms import classify, forms
+from normed_forms.cli import MAX_CLASSIFY_BOX
 
 TOL = 1e-9
 
@@ -195,6 +197,63 @@ def test_full_classification_bounded_flags():
     assert report.plus_decision is Decision.BOUNDED
     assert report.minus_decision is Decision.BOUNDED
     assert not report.fully_decided
+
+
+# the CLI's limit: full_classification refuses with the CLI's exact text
+CAP = MAX_CLASSIFY_BOX
+# (form, box_bound, message, refused before the content is trial-divided)
+OVER_BUDGET = [
+    (Form(10**30, 0, 10**30), 100,
+     f"the minus-minus search would solve {2 * 10**15 + 1} rows, more than {CAP}", True),
+    (Form(250_000_000_000, 1, 250_000_000_001), 100,
+     f"the minus-minus search would solve {CAP + 1} rows, more than {CAP}", True),
+    (Form(10**30, 0, -10**30), 100,
+     f"the plus search would trial-divide up to {10**15}, more than {CAP}", True),
+    (Form((CAP + 1) ** 2, 0, -(CAP + 1) ** 2), 100,
+     f"the plus search would trial-divide up to {CAP + 1}, more than {CAP}", True),
+    (Form(720720, 720720, -720720), CAP,
+     f"the plus search would solve {240 * (CAP + 1)} rows, more than {CAP + 1}", False),
+    (Form(1, 3, 1), 10**9,
+     f"the plus search would solve {10**9 + 1} rows, more than {CAP + 1}", False),
+]
+
+
+@pytest.fixture
+def no_rows(monkeypatch):
+    """Make every row solver raise; the returned callable makes trial
+    division of the content raise too."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(Form, "represent", no_search)
+    monkeypatch.setattr(forms, "_row_solutions", no_search)
+    monkeypatch.setattr(classify, "_row_solutions", no_search)
+    return lambda: monkeypatch.setattr(classify, "_positive_divisors", no_search)
+
+
+@pytest.mark.parametrize("form, box, message, undivided", OVER_BUDGET)
+def test_full_classification_refuses_over_budget(no_rows, form, box, message,
+                                                 undivided):
+    """Every input the classify command refuses raises ValueError with the
+    command's text, before any row is solved; search_plus refuses the
+    indefinite ones itself."""
+    if undivided:
+        no_rows()
+    with pytest.raises(ValueError) as info:
+        full_classification(form, box_bound=box)
+    assert str(info.value) == message
+    if form.discriminant() > 0:
+        with pytest.raises(ValueError) as info:
+            search_plus(form, box)
+        assert str(info.value) == message
+
+
+def test_full_classification_refuses_degenerate_forms(no_rows):
+    no_rows()
+    for form in (Form(1, 2, 1), Form(0, 0, 0), Form(0, 0, 5)):
+        with pytest.raises(DegenerateFormError) as info:
+            full_classification(form)
+        assert str(info.value) == "classification requires a nondegenerate form"
 
 
 def test_order3_verdicts():

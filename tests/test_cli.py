@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import normed_forms
-from normed_forms import Form, PlusParams, Quadruple, cli, full_classification
+from normed_forms import Form, PlusParams, Quadruple, classify, cli, full_classification
 from normed_forms.cli import _decimal, main
 from normed_forms.forms import exact_sqrt
 
@@ -258,9 +258,16 @@ def test_oversized_searches_exit_two(capsys, monkeypatch):
                           "b1f5499044a388e0047ff89fb4b30b8b27c2b292")):
         code, out, _ = run(capsys, ["classify", *argv])
         assert code == 0 and hashlib.sha1(out.encode()).hexdigest() == digest
-    # any search would now fail
-    monkeypatch.setattr(cli, "full_classification", None)
+    # any search would now fail: both searches solve rows only through these
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(Form, "represent", no_search)
+    monkeypatch.setattr(classify, "_scan_quadruples", no_search)
     monkeypatch.setattr(cli, "_catalog_records", None)
+    code, out, err = run(capsys, ["classify", "1", "2", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: classification requires a nondegenerate form\n"
     cap = cli.MAX_CLASSIFY_BOX
     # (10^30, 0, 10^30) has amax = 10^15; (2.5e11, 1, 2.5e11 + 1) has
     # amax = 500000, one row over the cap
@@ -293,16 +300,21 @@ def test_oversized_searches_exit_two(capsys, monkeypatch):
         assert (code, out, err) == (2, "", message)
 
 
-def test_classify_divides_content_once(capsys):
-    """The indefinite pre-flight and search_plus share one trial division of
-    the content."""
-    divisors = cli._positive_divisors
-    divisors.cache_clear()
+def test_classify_divides_content_once(capsys, monkeypatch):
+    """The budget check and the plus search share one trial division of the
+    content."""
+    divisors = classify._positive_divisors
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return divisors(value)
+
+    monkeypatch.setattr(classify, "_positive_divisors", counted)
     code, _, _ = run(capsys, ["classify", "720720", "720720", "-720720"])
     assert code == 0
-    info = divisors.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert divisors(12) == (1, 2, 3, 4, 6, 12)
+    assert calls == [720720]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
 
 def test_catalog_jsonl_window(capsys):

@@ -11,6 +11,7 @@ import pytest
 
 import normed_forms
 import normed_forms.classify
+import normed_forms.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -44,6 +45,14 @@ def test_classify_is_exact():
     assert not [name for name in namespace if name.startswith("curve_")]
     for name in ("CurvePoint", "EmbeddingMatrix", "embedding_to_quadruple"):
         assert name not in namespace
+
+
+def test_cli_uses_no_private_classify_names():
+    """The CLI adapts classify's public interface; search costs stay there."""
+    private = [name for name, value in vars(normed_forms.cli).items()
+               if name.startswith("_")
+               and getattr(value, "__module__", None) == "normed_forms.classify"]
+    assert private == []
 
 
 def test_curve_names_still_exported():
