@@ -78,8 +78,6 @@ from .pairings import (
     TYPE_PM,
     TYPE_PP,
     derive_form_minus_minus,
-    from_commutative_traceless,
-    from_operator_matrices,
     is_normed,
     left_map_det,
     make_minus_minus,
@@ -131,8 +129,6 @@ __all__ = [
     "derive_form_minus_minus",
     "embed_form",
     "embedding_to_quadruple",
-    "from_commutative_traceless",
-    "from_operator_matrices",
     "full_classification",
     "hnf_from_generators",
     "induced_pairing",

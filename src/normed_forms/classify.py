@@ -48,6 +48,7 @@ from enum import Enum
 from math import isqrt
 
 from .forms import (
+    MAX_SEARCH_ROWS as MAX_CLASSIFY_BOX,
     DegenerateFormError,
     Definiteness,
     Form,
@@ -55,10 +56,6 @@ from .forms import (
     floor_sqrt_ratio,
 )
 from .pairings import PlusParams, Quadruple
-
-# one row per x2 in [-box, 0] for content 1, about 0.8 s at the cap; the same
-# cap bounds every search of full_classification (module docstring)
-MAX_CLASSIFY_BOX = 10**6
 
 
 class Decision(Enum):

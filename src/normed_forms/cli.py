@@ -50,13 +50,13 @@ from itertools import chain
 from math import gcd, isqrt
 
 from .classify import (
-    MAX_CLASSIFY_BOX,
     ClassificationReport,
     full_classification,
     order3_verdict,
 )
 from .curve import curve_sample
 from .forms import (
+    MAX_SEARCH_ROWS as MAX_CLASSIFY_BOX,
     Definiteness,
     Form,
     _is_discriminant,

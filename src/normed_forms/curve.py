@@ -52,23 +52,28 @@ class EmbeddingMatrix:
 
 
 def _curve_context(form: Form) -> tuple[float, int]:
-    """(phase, eps) of the witness curve; eps is +1 circular, -1 hyperbolic."""
+    """(phase, eps) of the witness curve; eps is +1 circular, -1 hyperbolic.
+
+    The phase is acos(k / sqrt(4mn)) or acosh(|k| / sqrt(4mn)), taken as
+    atan2(sqrt(|disc|), k) and asinh(sqrt(disc) / sqrt(4mn)) from the exact
+    integer discriminant, so no digits cancel when |disc| is small against 4mn.
+    """
     kind = form.definiteness()
     if kind is Definiteness.DEGENERATE:
         raise DegenerateFormError("the witness curve needs a nondegenerate form")
     m, k, n = form.coefficients()
     if m <= 0 or n <= 0:
         raise ValueError("the witness curve needs m > 0 and n > 0")
+    disc = form.discriminant()
     try:
-        ratio = k / math.sqrt(4 * m * n)
+        if kind is Definiteness.POSITIVE_DEFINITE:
+            phase = math.atan2(math.sqrt(-disc), k)
+            return (-phase if k < 0 else phase), 1
+        return math.asinh(math.sqrt(disc) / math.sqrt(4 * m * n)), -1
     except OverflowError:
         raise ValueError(
             "the coefficients are too large for the floating-point witness curve"
         ) from None
-    if kind is Definiteness.POSITIVE_DEFINITE:
-        phase = math.acos(ratio)
-        return (-phase if k < 0 else phase), 1
-    return math.acosh(abs(ratio)), -1
 
 
 def curve_phase(form: Form) -> float:

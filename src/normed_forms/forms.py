@@ -8,6 +8,21 @@ f(x)f(y) in f(Z^2).
 
 All arithmetic is arbitrary-precision integer arithmetic; nothing here uses
 floating point.
+
+Closure theorem.  A primitive positive definite form f of discriminant D is
+closed on Z^2 (every product f(x)f(y) is a value of f) exactly when its class
+C has C^3 = 1.  The nonzero values of f are the norms of the invertible ideals
+in C, and equally in C^-1 (D. Cox, Primes of the Form x^2 + ny^2,
+Theorem 7.7; see semigroup_probe).  If C^3 = 1: for values u = N(a) and
+v = N(b) with a, b in C, ab has norm uv and lies in C^2 = C^-1, so uv is a
+value, and 0 = f(0, 0).  If C^3 != 1, then C != 1, and f represents a prime
+p not dividing D (Weber's theorem, Cox Theorem 9.12), which splits as p p'
+with p in C and p' in C^-1.  The ideals of norm p^2 are p^2, pp' = (p) and
+p'^2, in the classes C^2, 1 and C^-2, none of which is C or C^-1, so
+f(x)f(x) = p^2 for f(x) = p is not a value.  The census in the tests finds
+"a normed pairing exists" (ClassificationReport.has_witness) exactly when
+C^3 = 1 on -2000 <= D <= -3, but the direction "C^3 = 1 implies a pairing"
+is not proved, so no DECIDED verdict rests on it.
 """
 
 from __future__ import annotations
@@ -25,6 +40,12 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 
+# The package's one search budget, in rows solved (about 0.8 s for one
+# indefinite search at the cap).  classify and cli import it as
+# MAX_CLASSIFY_BOX; semigroup_probe refuses a form whose searches could solve
+# more rows.
+MAX_SEARCH_ROWS = 10**6
+
 # a x1^2 + b x1 x2 + c x2^2 takes the values a, c and a + b + c here, so these
 # points fix a binary quadratic form: one that vanishes on all three is zero.
 QUADRATIC_POINTS: tuple[Vec2, Vec2, Vec2] = ((1, 0), (0, 1), (1, 1))
@@ -41,9 +62,36 @@ def mat_det(a: Mat2) -> int:
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
 
+def mat_trace(a: Mat2) -> int:
+    return a[0][0] + a[1][1]
+
+
+def _off_scalar(a: Mat2) -> tuple[int, int, int]:
+    """(A12, A21, A11 - A22): zero exactly when A is scalar."""
+    return (a[0][1], a[1][0], a[0][0] - a[1][1])
+
+
 def is_scalar(a: Mat2) -> bool:
     """Whether a is a multiple of the identity."""
-    return a[0][1] == 0 and a[1][0] == 0 and a[0][0] == a[1][1]
+    return not any(_off_scalar(a))
+
+
+def coupling(k: int, x, y, mul, conj):
+    """The k-th multiplicative coupling xy, conj(x)y, x conj(y), conj(xy).
+
+    One definition for both models of a pairing: lattices.sigma passes the
+    product and conjugate of Q(tau), matembed.matrix_pair the matrix product
+    and the adjugate.
+    """
+    if k == 1:
+        return mul(x, y)
+    if k == 2:
+        return mul(conj(x), y)
+    if k == 3:
+        return mul(x, conj(y))
+    if k == 4:
+        return conj(mul(x, y))
+    raise ValueError("coupling index must be 1..4")
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -323,7 +371,8 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     forms the inner representability search is exact, so each recorded
     counterexample pair is a proof that the form lacks the semigroup
     property; for indefinite forms the report is advisory only (decided is
-    False).
+    False).  ValueError, before any search, when the searches could solve
+    more than MAX_SEARCH_ROWS rows in all.
 
     Most products are decided without a search.  0 is a closed value.  The
     genus rule: take an odd prime p | D (D the discriminant) with e = v_p(D)
@@ -399,6 +448,17 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
         cap = isqrt(4 * form.m * top * top // -disc) + 1
     else:
         cap = search_bound + 1
+    # No search below solves more than cap rows.  A product t <= top^2 takes
+    # isqrt(4m t // |disc|) + 1 rows on a definite form, box + 1 on an
+    # indefinite one.  A closed-value search for u <= top runs on the
+    # principal form or f o f, reduced, so with leading coefficient at most
+    # sqrt(|disc|/3), hence at most mn (|disc| <= 4mn); it takes at most
+    # isqrt(4mn u // |disc|) + 1 rows, and n <= top.  The trial divisions of
+    # _nonresidue_primes and _is_prime stop below cap as well.
+    rows = (len(mult) * (len(mult) + 1) // 2 + 2 * len(mult)) * cap
+    if rows > MAX_SEARCH_ROWS:
+        raise ValueError(f"the semigroup probe could solve {rows} rows, "
+                         f"more than {MAX_SEARCH_ROWS}")
     ramified = _nonresidue_primes(form, disc, cap)
     modulus = prod(p ** e for p, e in ramified)
     representable: dict[int, bool] = {}

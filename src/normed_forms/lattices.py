@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .forms import (DegenerateFormError, Definiteness, Form, _is_discriminant,
-                    _row_solutions, exact_sqrt, hnf_rows)
+                    _row_solutions, coupling, exact_sqrt, hnf_rows)
 from .matembed import Sublattice
 
 Rational = int | Fraction
@@ -147,15 +147,7 @@ class QuadElem:
 
 def sigma(k: int, z: QuadElem, w: QuadElem) -> QuadElem:
     """The four couplings: zw, conj(z)w, z conj(w), conj(zw)."""
-    if k == 1:
-        return z * w
-    if k == 2:
-        return z.conj() * w
-    if k == 3:
-        return z * w.conj()
-    if k == 4:
-        return (z * w).conj()
-    raise ValueError("coupling index must be 1..4")
+    return coupling(k, z, w, QuadElem.__mul__, QuadElem.conj)
 
 
 def _canonical_data(gens) -> tuple[Fraction, Fraction, Fraction]:
@@ -309,21 +301,22 @@ class Lattice:
         In the canonical basis (r, zeta), multiplication by zeta (k = 1) or by
         conj(zeta) (k = 2, 3) acts by an integer matrix A with
         det(x1 A + x2 rE) = norm(x1 zeta + x2 r); returns Sublattice(A, r).
+
+        Stability (stable_under) is one test here: L meets Q in Zr, so r^2
+        in L makes r an integer, and zeta^2 = t zeta - norm(zeta),
+        conj(zeta) r = t r - r zeta and norm(zeta) lie in L exactly when
+        t = trace(zeta) is an integer and r | norm(zeta) (matembed's
+        r | det A).  Such a lattice is integer-normed, which is tested first.
         """
         if k not in (1, 2, 3):
             raise ValueError("matrix model exists for couplings 1..3")
-        if not self.stable_under(k):
-            raise ValueError("lattice is not stable under the requested coupling")
-        basis = self.canonical_basis()
-        r = basis.r
-        zeta = basis.zeta
-        if r.denominator != 1 or not zeta.is_quadratic_integer():
+        if not self.is_integer_normed():
             raise ValueError("lattice is not integer-normed")
-        rr = int(r)
-        t = int(zeta.trace())
-        nm = int(zeta.norm())
-        if nm % rr:
-            raise ValueError("norm of zeta is not divisible by r")
+        basis = self.canonical_basis()
+        t, nm = basis.zeta.trace(), basis.zeta.norm()
+        if t.denominator != 1 or nm % basis.r:
+            raise ValueError("lattice is not stable under the requested coupling")
+        rr, t, nm = int(basis.r), int(t), int(nm)
         if k == 1:
             # columns: zeta * r = (0, r), zeta^2 = t zeta - nm
             a = ((0, -nm // rr), (rr, t))

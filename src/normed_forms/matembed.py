@@ -5,8 +5,9 @@ The four matrix pairings on Mat2(Z) are
     S1(X, Y) = X Y          S2(X, Y) = adj(X) Y
     S3(X, Y) = X adj(Y)     S4(X, Y) = adj(X Y)
 
-where adj is the adjugate (conjugation: adj(X) = tr(X) E - X).  det is
-multiplicative for all four.
+where adj is the adjugate (conjugation: adj(X) = tr(X) E - X), so S_k is
+forms.coupling with the matrix product, as lattices.sigma is with the product
+of Q(tau).  det is multiplicative for all four.
 
 A sublattice span(A, rE) with A non-scalar and r > 0 is stable under S1..S3
 iff r divides det(A), and stable under S4 iff r divides tr(A)^2 - det(A).
@@ -22,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .forms import Form, Mat2, Vec2, hnf_rows, is_scalar, mat_det, mat_mul
+from .forms import (Form, Mat2, Vec2, _off_scalar, coupling, hnf_rows, is_scalar, mat_det,
+                    mat_mul, mat_trace)
 from .pairings import (
     Pairing,
     PlusParams,
@@ -32,31 +34,14 @@ from .pairings import (
 )
 
 
-def mat_trace(a: Mat2) -> int:
-    return a[0][0] + a[1][1]
-
-
-def _off_scalar(a: Mat2) -> tuple[int, int, int]:
-    """(A12, A21, A11 - A22): zero exactly when A is scalar."""
-    return (a[0][1], a[1][0], a[0][0] - a[1][1])
-
-
 def adjugate(a: Mat2) -> Mat2:
     """((d, -b), (-c, a)); satisfies A adj(A) = det(A) E."""
     return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
 
 
 def matrix_pair(k: int, x: Mat2, y: Mat2) -> Mat2:
-    """S_k(X, Y) for k in 1..4."""
-    if k == 1:
-        return mat_mul(x, y)
-    if k == 2:
-        return mat_mul(adjugate(x), y)
-    if k == 3:
-        return mat_mul(x, adjugate(y))
-    if k == 4:
-        return adjugate(mat_mul(x, y))
-    raise ValueError("pairing index must be 1..4")
+    """S_k(X, Y) for k in 1..4: the coupling with the adjugate as conjugation."""
+    return coupling(k, x, y, mat_mul, adjugate)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from .forms import (
     QUADRATIC_POINTS, DegenerateFormError, Form, Mat2, Vec2, is_scalar, mat_det, mat_mul,
+    mat_trace,
 )
 
 
@@ -64,7 +65,7 @@ class PlusParams:
     @property
     def r(self) -> int:
         """The scale r = m p^2 + k p q + n q^2 = base form at (p, q)."""
-        return self.m * self.p * self.p + self.k * self.p * self.q + self.n * self.q * self.q
+        return self.base_form()((self.p, self.q))
 
     def base_form(self) -> Form:
         return Form(self.m, self.k, self.n)
@@ -145,12 +146,7 @@ class Pairing:
     def is_traceless(self) -> bool:
         """Both operator matrices M1, M2 have trace zero."""
         m1, m2 = self.operator_matrices()
-        return m1[0][0] + m1[1][1] == 0 and m2[0][0] + m2[1][1] == 0
-
-
-def from_operator_matrices(m1: Mat2, m2: Mat2) -> Pairing:
-    """Inverse of Pairing.operator_matrices (the regrouping is an involution)."""
-    return Pairing((m1[0], m2[0]), (m1[1], m2[1]))
+        return mat_trace(m1) == 0 and mat_trace(m2) == 0
 
 
 def make_plus(variant: int, params: PlusParams) -> tuple[Pairing, Form]:
@@ -179,25 +175,16 @@ def make_plus(variant: int, params: PlusParams) -> tuple[Pairing, Form]:
 def make_minus_minus(quad: Quadruple) -> tuple[Pairing, Form]:
     """The minus-minus pairing of an integer quadruple and its normed form.
 
-    The pairing is commutative and traceless; its form is
-    (a^2 - cd, ac - bd, c^2 - ab), and when that form is nondegenerate the
-    type is (-,-).
+    The pairing is commutative and traceless, with operator matrices
+    M1 = ((a, c), (-d, -a)) and M2 = ((c, b), (-a, -c)); every commutative
+    traceless pairing arises this way for exactly one quadruple, which
+    quadruple_of reads back.  Its form is (a^2 - cd, ac - bd, c^2 - ab), and
+    when that form is nondegenerate the type is (-,-).
     """
     a, b, c, d = quad.a, quad.b, quad.c, quad.d
     a1: Mat2 = ((a, c), (c, b))
     a2: Mat2 = ((-d, -a), (-a, -c))
     return Pairing(a1, a2), quad.form()
-
-
-def from_commutative_traceless(quad: Quadruple) -> Pairing:
-    """Build the unique commutative traceless pairing with operator matrices
-    M1 = ((a, c), (-d, -a)), M2 = ((c, b), (-a, -c)).
-
-    Coincides with make_minus_minus(quad)[0]; every commutative traceless
-    pairing arises this way for exactly one quadruple.
-    """
-    a, b, c, d = quad.a, quad.b, quad.c, quad.d
-    return from_operator_matrices(((a, c), (-d, -a)), ((c, b), (-a, -c)))
 
 
 def quadruple_of(pairing: Pairing) -> Quadruple:

@@ -272,6 +272,14 @@ def test_curve_phase_values():
     assert close(curve_phase(Form(1, -3, 1)), math.acosh(3 / 2))
 
 
+def test_curve_phase_uses_the_exact_discriminant():
+    """|disc| = 1 against 4mn = 4 * 10^24: the phase is 1e-6 to 12 digits,
+    where acos or acosh of the rounded ratio k / sqrt(4mn) is off by 4.4e-5."""
+    for k in (2 * 10**12 + 1, 2 * 10**12 - 1):
+        phase = curve_phase(Form(10**12, k, 10**12))
+        assert abs(phase - 1e-6) <= 1e-12 * 1e-6
+
+
 def test_curve_sample_fixed_points():
     """Known exact curve points at theta = 0."""
     (pt,) = curve_sample(Form(4, 2, 6), [0.0])
@@ -296,16 +304,17 @@ def test_curve_rejects_unusable_forms():
         curve_sample(Form(-1, 0, -1), [0.0])
     with pytest.raises(DegenerateFormError):
         curve_sample(Form(1, 2, 1), [0.0])
-    for form in (Form(1, 0, 10**400), Form(1, 10**400, 1)):
+    # the discriminant of (1, 10^300, 1) is about 10^600, past any float
+    for form in (Form(1, 0, 10**400), Form(1, 10**400, 1), Form(1, 10**300, 1)):
         with pytest.raises(ValueError, match="too large"):
             curve_phase(form)
         with pytest.raises(ValueError, match="too large"):
             curve_embedding(form, 0.0)
-    # overflow, a phase that rounds to 0, and w = alpha delta - beta gamma
-    # lost to cancellation far out on a hyperbola
-    for form, theta in ((Form(1, 3, 1), 1000.0), (Form(1, 10**300, 1), 0.0),
-                        (Form(10**20, 2 * 10**20 + 1, 10**20), 0.0),
-                        (Form(10**17, 2 * 10**17 - 1, 10**17), 0.0),
+    # overflow, and w = alpha delta - beta gamma lost to cancellation: far out
+    # on a hyperbola, or where a tiny phase leaves the products nearly equal
+    for form, theta in ((Form(1, 3, 1), 1000.0),
+                        (Form(10**20, 2 * 10**20 + 1, 10**20), 0.5),
+                        (Form(10**17, 2 * 10**17 - 1, 10**17), 0.5),
                         (Form(1, 3, 1), 12.0), (Form(1, -3, 1), -12.0)):
         with pytest.raises(ValueError, match="floating-point range"):
             curve_sample(form, [theta])
@@ -480,3 +489,21 @@ def test_window_order3_coincidence():
         cube_principal = ideal.cube_is_principal()
         assert (report.minus_quadruple is not None) == cube_principal, report.form
         assert cube_principal == (count == 0), report.form
+
+
+def test_witness_census_matches_class_order():
+    """On all 12,699 reduced forms of -2000 <= D <= -3, a plus or minus-minus
+    witness exists exactly when [f]^3 = 1, that is when f o f reduces to the
+    inverse class (m, -k, n).  The closure theorem (forms module docstring)
+    proves closed <=> [f]^3 = 1; that a witness then exists is only this
+    evidence."""
+    count = witnessed = 0
+    for delta in range(-2000, -2):
+        if delta % 4 in (0, 1):
+            for form in reduced_forms(delta):
+                has_witness = full_classification(form).has_witness
+                inverse = Form(form.m, -form.k, form.n).reduce()[0]
+                assert has_witness == (forms._square(form) == inverse), form
+                count += 1
+                witnessed += has_witness
+    assert (count, witnessed) == (12699, 1750)

@@ -1,5 +1,7 @@
 """Tests for binary quadratic forms: evaluation, reduction, representation."""
 
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -12,6 +14,7 @@ from normed_forms import (
     reduced_forms,
     semigroup_probe,
 )
+from normed_forms import forms
 from normed_forms.forms import IDENTITY, mat_det, mat_mul
 
 coeff = st.integers(min_value=-30, max_value=30)
@@ -282,6 +285,32 @@ def test_semigroup_probe_rejects_degenerate():
     """Degenerate forms have no probe."""
     with pytest.raises(DegenerateFormError):
         semigroup_probe(Form(1, 2, 1))
+
+
+def test_semigroup_probe_refuses_a_hostile_form_at_once(monkeypatch):
+    """(10^30, 1, 10^30) could make the probe solve about 3 * 10^18 rows; it
+    raises before the trial division of the discriminant and any search."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the probe searched before checking its budget")
+
+    monkeypatch.setattr(forms, "_nonresidue_primes", never)
+    monkeypatch.setattr(Form, "represent", never)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="semigroup probe could solve .* rows, more than"):
+        semigroup_probe(Form(10**30, 1, 10**30))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_semigroup_probe_budget_admits_every_catalog_form(monkeypatch):
+    """The largest row bound of a reduced form with -100000 <= D <= -3 is
+    (U(U + 1)/2 + 2U) * cap = 297 * 1007 = 299,079, for (2, 1, 12500) with
+    U = 22 sample values: under the budget, and refused one row below it."""
+    form = Form(2, 1, 12500)
+    assert semigroup_probe(form).decided
+    monkeypatch.setattr(forms, "MAX_SEARCH_ROWS", 299_078)
+    with pytest.raises(ValueError, match="could solve 299079 rows"):
+        semigroup_probe(form)
 
 
 @given(coeff, coeff, coeff, small, small, small, small)

@@ -528,6 +528,48 @@ def test_matrix_embedding_examples():
         prime.matrix_embedding(4)
 
 
+def test_matrix_embedding_refuses_by_one_stability_test():
+    """On span(r, zeta) over a grid of r and zeta, matrix_embedding refuses an
+    integer-normed lattice as not stable exactly when stable_under(k) is
+    false, and every other lattice as not integer-normed.  span(2, (1 + tau)/4)
+    at -15 has norm form (4, 1, 1) but trace(zeta) = 1/2, so it is the first
+    kind, not the second."""
+    ctx15 = Context(-15)
+    quarter = Lattice(ctx15, ctx15.elem(2), ctx15.elem(Fr(1, 4), Fr(1, 4)))
+    assert quarter.to_form() == Form(4, 1, 1)
+    seen = set()
+    grid = [quarter]
+    for delta in (-15, -23, 5, 12):
+        ctx = Context(delta)
+        grid += [Lattice(ctx, ctx.elem(r), ctx.elem(Fr(u, 4), v))
+                 for r in (Fr(1, 2), 1, 2, 3, 4) for u in range(-8, 9)
+                 for v in (Fr(1, 4), Fr(1, 2), Fr(3, 4), 1, 2)]
+    for lat in grid:
+        for k in (1, 2, 3):
+            kind = (lat.is_integer_normed(), lat.stable_under(k))
+            seen.add(kind)
+            if kind == (True, True):
+                assert check_stability(lat.matrix_embedding(k), k)
+                continue
+            message = "not stable" if kind[0] else "not integer-normed"
+            with pytest.raises(ValueError, match=message):
+                lat.matrix_embedding(k)
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_sigma_and_matrix_pair_share_the_index_error():
+    """Both models reject a coupling index outside 1..4 with one text."""
+    ctx = ctx23()
+    e = ((1, 0), (0, 1))
+    for k in (0, 5):
+        with pytest.raises(ValueError) as lattice_error:
+            sigma(k, ctx.one(), ctx.tau())
+        with pytest.raises(ValueError) as matrix_error:
+            matrix_pair(k, e, e)
+        message = "coupling index must be 1..4"
+        assert str(lattice_error.value) == str(matrix_error.value) == message
+
+
 def test_matrix_embedding_respects_products():
     """The embedded plane is closed under the matching matrix product."""
     prime = prime_over_two(ctx23())

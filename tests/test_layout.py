@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -59,6 +60,15 @@ def test_curve_names_still_exported():
     for name in ("CurvePoint", "EmbeddingMatrix", "curve_embedding", "curve_phase",
                  "curve_quadruple", "curve_sample", "embedding_to_quadruple"):
         assert getattr(normed_forms, name).__module__ == "normed_forms.curve"
+
+
+def test_readme_python_examples_run():
+    """Every python block of README.md runs, so no example names a removed API."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("demo", sorted(DEMO_SHA1))

@@ -16,15 +16,33 @@ from normed_forms import (
     PlusParams,
     Quadruple,
     derive_form_minus_minus,
-    from_commutative_traceless,
-    from_operator_matrices,
     is_normed,
     make_minus_minus,
     make_plus,
     quadruple_of,
     type_of,
 )
+from normed_forms.forms import Mat2
 from normed_forms.pairings import left_map_det, right_map_det
+
+
+# Oracles: the minus-minus pairing built from its operator matrices, and the
+# inverse of Pairing.operator_matrices, for make_minus_minus and quadruple_of.
+def from_operator_matrices(m1: Mat2, m2: Mat2) -> Pairing:
+    """Inverse of Pairing.operator_matrices (the regrouping is an involution)."""
+    return Pairing((m1[0], m2[0]), (m1[1], m2[1]))
+
+
+def from_commutative_traceless(quad: Quadruple) -> Pairing:
+    """Build the unique commutative traceless pairing with operator matrices
+    M1 = ((a, c), (-d, -a)), M2 = ((c, b), (-a, -c)).
+
+    Coincides with make_minus_minus(quad)[0]; every commutative traceless
+    pairing arises this way for exactly one quadruple.
+    """
+    a, b, c, d = quad.a, quad.b, quad.c, quad.d
+    return from_operator_matrices(((a, c), (-d, -a)), ((c, b), (-a, -c)))
+
 
 entry = st.integers(min_value=-9, max_value=9)
 params_st = st.builds(PlusParams, entry, entry, entry, entry, entry)
@@ -111,7 +129,7 @@ def test_make_minus_minus_is_normed(quad):
 
 @given(quad_st)
 def test_quadruple_roundtrip(quad):
-    """quadruple_of inverts both minus-minus constructors."""
+    """quadruple_of inverts make_minus_minus, which matches the oracle."""
     s, _ = make_minus_minus(quad)
     assert from_commutative_traceless(quad) == s
     assert quadruple_of(s) == quad
