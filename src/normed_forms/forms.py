@@ -429,10 +429,22 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
 
     One chain decides each product, in this order: a closed factor (0 is
     closed for every form, as 0 * v = f(0, 0)), the genus and prime rules,
-    square scaling, then represent.  Closed values are walked first, so no
+    square scaling, then a search.  Closed values are walked first, so no
     product of one is searched; then ascending |u| decides t/4 and t/9
     before t and lets small prime values rule products out before a search
     (unsorted, a -400..-3 catalog made 42 more searches that found nothing).
+
+    The search is represent(t) on a definite form.  An indefinite form only
+    needs to know whether some |x1|, |x2| <= search_bound solves f = t, not
+    the lexicographically first witness that represent returns from
+    x2 = -search_bound upwards, so it runs the same row kernel
+    (_row_solutions) over the same half box x2 in [-search_bound, 0] in the
+    other order, outward from x2 = 0, and stops at the first solution.  The
+    answer is represent's: f(-v) = f(v), so the half box takes every value
+    of the full box, and only the order of the rows changes.  Solutions lie
+    near x2 = 0 far more often than near the edge of the box: the 558
+    searches of a 5..8 catalog at box 6 solve 22,368 rows from the edge and
+    2,783 outward.
     """
     disc = form.discriminant()
     if disc == 0:
@@ -466,6 +478,7 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     closed = {0}  # 0 * v = f(0, 0)
     excluded: set[int] = set()
     ordered: list[int] = []
+    outward = range(0, -search_bound - 1, -1)
     if any(e % 2 for _, e in ramified):
         # the genus rule with an odd e: no nonzero product is a value
         representable = {u * v: u * v == 0
@@ -491,8 +504,10 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
             elif disc < 0 and (t % 4 == 0 and representable.get(t // 4)
                                or t % 9 == 0 and representable.get(t // 9)):
                 found = True  # square scaling
-            else:
+            elif disc < 0:
                 found = form.represent(t, search_bound) is not None
+            else:  # outward from x2 = 0 (see the docstring)
+                found = next(_row_solutions(form, t, outward, search_bound), None) is not None
             representable[t] = found
         if not found:
             count += mult[u] * mult[v] * (1 if u == v else 2)

@@ -65,7 +65,8 @@ class PlusParams:
     @property
     def r(self) -> int:
         """The scale r = m p^2 + k p q + n q^2 = base form at (p, q)."""
-        return self.base_form()((self.p, self.q))
+        p, q = self.p, self.q
+        return self.m * p * p + self.k * p * q + self.n * q * q
 
     def base_form(self) -> Form:
         return Form(self.m, self.k, self.n)

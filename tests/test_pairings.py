@@ -83,6 +83,12 @@ def test_make_plus_scales_by_represented_value():
         assert f == Form(4, 2, 6)
 
 
+@given(params_st)
+def test_plus_scale_is_base_form_value(params):
+    """r, computed from the coefficients, is the base form at (p, q)."""
+    assert params.r == params.base_form()((params.p, params.q))
+
+
 def test_make_plus_rejects_bad_variant():
     """Only variants 1, 2, 3 exist."""
     with pytest.raises(ValueError):

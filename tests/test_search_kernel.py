@@ -26,6 +26,7 @@ from normed_forms import (
     reduced_forms,
     semigroup_probe,
 )
+from normed_forms import forms as forms_module
 from normed_forms.classify import _scan_quadruples, minus_minus_bounds, minus_minus_witnesses
 from normed_forms.forms import (
     SemigroupReport,
@@ -203,6 +204,26 @@ def test_represent_matches_oracle(form, target, box):
     assert form.represent(target, box) == represent_oracle(form, target, box)
 
 
+@given(forms.filter(lambda f: f.discriminant() >= 0), st.integers(-40, 40), boxes)
+@settings(max_examples=400)
+@example(Form(0, 0, 0), 0, 3)
+@example(Form(0, 0, 0), 1, 3)
+@example(Form(0, 5, 0), 10, 2)
+@example(Form(1, 2, 1), 9, 5)
+@example(Form(0, 3, 2), 5, 1)
+@example(Form(-1, 1, 1), -1, 0)
+@example(Form(1, 0, -2), 7, 7)
+def test_outward_scan_decides_as_represent(form, target, box):
+    """The probe's indefinite search: the half box scanned outward from
+    x2 = 0 has a solution exactly when represent finds a witness, and holds
+    the same solutions as the upward scan."""
+    outward = range(0, -box - 1, -1)
+    found = next(_row_solutions(form, target, outward, box), None)
+    assert (found is not None) == (form.represent(target, box) is not None)
+    assert sorted(_row_solutions(form, target, outward, box)) == sorted(
+        _row_solutions(form, target, range(-box, 1), box))
+
+
 @st.composite
 def definite_targets(draw):
     """A definite form and a target: a product f(x)f(y) of two sample
@@ -284,6 +305,11 @@ def test_scan_matches_oracle_on_derived_forms(entries, box):
 @example(Form(4, 2, 6), 3, 100, 20)  # imprimitive: closed = {0}
 @example(Form(-2, -1, -3), 3, 100, 20)  # negative definite, odd genus exponent at 23
 @example(Form(-2, 0, -3), 3, 100, 20)  # negative definite: closed = {0}
+@example(Form(1, 1, -1), 3, 100, 20)  # D = 5
+@example(Form(1, 0, -2), 3, 100, 20)  # D = 8
+@example(Form(1, 1, -3), 3, 100, 20)  # D = 13
+@example(Form(0, 3, 2), 3, 100, 20)  # D = 9, a square, and m = 0
+@example(Form(-1, 1, 1), 3, 100, 20)  # D = 5 with m < 0
 def test_probe_matches_oracle(form, sample_bound, search_bound, max_recorded):
     """Every report field agrees with the pair-by-pair probe."""
     assert semigroup_probe(form, sample_bound, search_bound, max_recorded) == probe_oracle(
@@ -508,15 +534,26 @@ def test_probe_search_count_on_reduced_forms(monkeypatch):
 def test_probe_never_searches_for_zero(monkeypatch):
     """0 is a closed value of every form, as 0 * v = f(0, 0), so no probe
     searches for it: not an imprimitive, negative definite or indefinite
-    one, nor a primitive positive definite one, whose closed values hold 1."""
+    one, nor a primitive positive definite one, whose closed values hold 1.
+    Definite forms search with represent, indefinite ones with the row
+    kernel, so both are watched."""
     targets = []
+    kernel_forms = set()
     represent = Form.represent
+    row_solutions = forms_module._row_solutions
 
     def recording(self, target, box_bound=100):
         targets.append(target)
         return represent(self, target, box_bound)
 
+    def recording_rows(form, target, rows, col_bound):
+        kernel_forms.add(form)
+        targets.append(target)
+        return row_solutions(form, target, rows, col_bound)
+
     monkeypatch.setattr(Form, "represent", recording)
+    monkeypatch.setattr(forms_module, "_row_solutions", recording_rows)
     for form in (Form(4, 2, 6), Form(-1, 0, -1), Form(1, 0, -2), Form(2, 1, 3)):
         semigroup_probe(form)
+    assert Form(1, 0, -2) in kernel_forms
     assert targets and 0 not in targets
