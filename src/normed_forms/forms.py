@@ -94,6 +94,33 @@ def coupling(k: int, x, y, mul, conj):
     raise ValueError("coupling index must be 1..4")
 
 
+def _coupling_stable(r, trace, norm, k: int) -> bool:
+    """Whether span(zeta, r) is closed under the k-th coupling: r | norm for
+    k <= 3, r | trace^2 - norm for k = 4; ValueError for any other k.
+
+    The one stability criterion of both lattice models: matembed passes
+    (r, tr A, det A) for span(A, rE), lattices the canonical basis (r, zeta).
+    Proof.  Let r be a positive integer, zeta non-scalar, t = trace(zeta) an
+    integer and n = norm(zeta) rational, so that conj(zeta) = t - zeta and
+    zeta conj(zeta) = conj(zeta) zeta = n (for matrices, adj(A) A =
+    A adj(A) = det(A) E).  As 1 and zeta are independent, x zeta + y lies in
+    the span exactly when x and y / r are integers.  The basis pairs give
+    r^2, r zeta and r conj(zeta) = t r - r zeta, which always lie in the
+    span, and one more product: zeta^2 = t zeta - n for k = 1,
+    conj(zeta) zeta = zeta conj(zeta) = n for k = 2, 3, and
+    conj(zeta^2) = conj(zeta)^2 = (t^2 - n) - t zeta for k = 4.  It lies in
+    the span exactly when n / r, respectively (t^2 - n) / r, is an integer.
+    These are the paper's families: on a stable span(A, rE) the coupling is
+    the plus pairing of (det A / r, tr A, r) or the minus-minus pairing of
+    (-tr A, 0, -r, -(tr(A)^2 - det A) / r) (matembed.induced_pairing).
+    """
+    if k in (1, 2, 3):
+        return norm % r == 0
+    if k == 4:
+        return (trace * trace - norm) % r == 0
+    raise ValueError("coupling index must be 1..4")
+
+
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -434,7 +461,15 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     before t and lets small prime values rule products out before a search
     (unsorted, a -400..-3 catalog made 42 more searches that found nothing).
 
-    The search is represent(t) on a definite form.  An indefinite form only
+    The search is represent(t) on a definite form.  A positive definite
+    form that is not reduced is searched as c*g, for c its content and g the
+    reduced form of its primitive part: the same values on Z^2 (reduce
+    changes the basis by a determinant-1 matrix), and the fewest rows, as
+    the leading coefficient of c*g is the least nonzero value.  So
+    (29, 24, 5), which is (1, 0, 1) in another basis, is probed within the
+    budget below.  A reduced form, every catalog form among them, is c*g
+    already; it is searched as it is, as rebuilding it cost the -400..-3
+    catalog's probes 3% of their time.  An indefinite form only
     needs to know whether some |x1|, |x2| <= search_bound solves f = t, not
     the lexicographically first witness that represent returns from
     x2 = -search_bound upwards, so it runs the same row kernel
@@ -454,18 +489,25 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     # f(x)f(y) depends only on the two values, so each unordered pair of
     # distinct values is tested once and stands for mult*mult ordered pairs
     mult = Counter(map(form, points))
+    search = form
     if disc < 0:
+        if form.m > 0 and not form.is_reduced():
+            c, primitive = form.content_and_primitive()
+            search = Form(*(c * e for e in primitive.reduce()[0].coefficients()))
         # products of two values are >= 0; the largest m*t takes the most rows
-        top = max(mult, key=lambda u: form.m * u * u, default=0)
-        cap = isqrt(4 * form.m * top * top // -disc) + 1
+        top = max(mult, key=lambda u: search.m * u * u, default=0)
+        cap = isqrt(4 * search.m * top * top // -disc) + 1
     else:
         cap = search_bound + 1
-    # No search below solves more than cap rows.  A product t <= top^2 takes
-    # isqrt(4m t // |disc|) + 1 rows on a definite form, box + 1 on an
-    # indefinite one.  A closed-value search for u <= top runs on the
-    # principal form or f o f, reduced, so with leading coefficient at most
-    # sqrt(|disc|/3), hence at most mn (|disc| <= 4mn); it takes at most
-    # isqrt(4mn u // |disc|) + 1 rows, and n <= top.  The trial divisions of
+    # No search below solves more than cap rows; write (m, k, n) for search.
+    # A product t <= top^2 takes isqrt(4m t // |disc|) + 1 rows on a definite
+    # form, box + 1 on an indefinite one.  A closed-value search for u <= top
+    # runs on the principal form or f o f, reduced, so with leading
+    # coefficient at most sqrt(|disc|/3), hence at most mn (|disc| <= 4mn);
+    # it takes at most isqrt(4mn u // |disc|) + 1 rows, and n <= top: n is
+    # f(0, 1) when search is f, and otherwise, search being reduced, the
+    # least value of f on a vector independent of one of value m, at most
+    # the larger of f(1, 0) and f(0, 1).  The trial divisions of
     # _nonresidue_primes and _is_prime stop below cap as well.
     rows = (len(mult) * (len(mult) + 1) // 2 + 2 * len(mult)) * cap
     if rows > MAX_SEARCH_ROWS:
@@ -505,7 +547,7 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
                                or t % 9 == 0 and representable.get(t // 9)):
                 found = True  # square scaling
             elif disc < 0:
-                found = form.represent(t, search_bound) is not None
+                found = search.represent(t, search_bound) is not None
             else:  # outward from x2 = 0 (see the docstring)
                 found = next(_row_solutions(form, t, outward, search_bound), None) is not None
             representable[t] = found

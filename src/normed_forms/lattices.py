@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .forms import (DegenerateFormError, Definiteness, Form, _is_discriminant,
-                    _row_solutions, coupling, exact_sqrt, hnf_rows)
+from .forms import (DegenerateFormError, Definiteness, Form, _coupling_stable,
+                    _is_discriminant, _row_solutions, coupling, exact_sqrt, hnf_rows)
 from .matembed import Sublattice
 
 Rational = int | Fraction
@@ -248,12 +248,12 @@ class Lattice:
         return Lattice(self.ctx, self.e1 * c, self.e2 * c)
 
     def stable_under(self, k: int) -> bool:
-        """Closure of sigma_k on all ordered generator pairs."""
-        for z in (self.e1, self.e2):
-            for w in (self.e1, self.e2):
-                if not self.contains(sigma(k, z, w)):
-                    return False
-        return True
+        """Closure under sigma_k: forms._coupling_stable on the canonical
+        basis (r, zeta), with r and t = trace(zeta) integers.  L meets Q in
+        Zr, so r^2 in L makes r an integer, and zeta^2 = t zeta - norm(zeta)
+        (k = 1) or r conj(zeta) = t r - r zeta (k = 2, 3, 4) in L makes t one.
+        """
+        return _basis_stable(self.canonical_basis(), k)
 
     def conjugate(self) -> "Lattice":
         return hnf_from_generators(self.ctx, [self.e1.conj(), self.e2.conj()])
@@ -299,24 +299,21 @@ class Lattice:
         """The matrix model of a sigma_k-stable integer-normed lattice.
 
         In the canonical basis (r, zeta), multiplication by zeta (k = 1) or by
-        conj(zeta) (k = 2, 3) acts by an integer matrix A with
+        conj(zeta) (k = 2, 3) acts by an integer matrix A with the trace and
+        norm of zeta as trace and determinant, so
         det(x1 A + x2 rE) = norm(x1 zeta + x2 r); returns Sublattice(A, r).
-
-        Stability (stable_under) is one test here: L meets Q in Zr, so r^2
-        in L makes r an integer, and zeta^2 = t zeta - norm(zeta),
-        conj(zeta) r = t r - r zeta and norm(zeta) lie in L exactly when
-        t = trace(zeta) is an integer and r | norm(zeta) (matembed's
-        r | det A).  Such a lattice is integer-normed, which is tested first.
+        Refuses a lattice that is not integer-normed, then one that is not
+        stable_under(k) (forms._coupling_stable), the criterion
+        matembed.check_stability applies to A.
         """
         if k not in (1, 2, 3):
             raise ValueError("matrix model exists for couplings 1..3")
         if not self.is_integer_normed():
             raise ValueError("lattice is not integer-normed")
         basis = self.canonical_basis()
-        t, nm = basis.zeta.trace(), basis.zeta.norm()
-        if t.denominator != 1 or nm % basis.r:
+        if not _basis_stable(basis, k):
             raise ValueError("lattice is not stable under the requested coupling")
-        rr, t, nm = int(basis.r), int(t), int(nm)
+        rr, t, nm = int(basis.r), int(basis.zeta.trace()), int(basis.zeta.norm())
         if k == 1:
             # columns: zeta * r = (0, r), zeta^2 = t zeta - nm
             a = ((0, -nm // rr), (rr, t))
@@ -332,6 +329,14 @@ class CanonicalBasis:
 
     r: Fraction
     zeta: QuadElem
+
+
+def _basis_stable(basis: CanonicalBasis, k: int) -> bool:
+    """Lattice.stable_under on a canonical basis computed once."""
+    r, t = basis.r, basis.zeta.trace()
+    # the helper first, so that a bad k raises whatever r and t are
+    return (_coupling_stable(r, t, basis.zeta.norm(), k)
+            and r.denominator == 1 and t.denominator == 1)
 
 
 def hnf_from_generators(ctx: Context, gens) -> Lattice:

@@ -10,9 +10,10 @@ forms.coupling with the matrix product, as lattices.sigma is with the product
 of Q(tau).  det is multiplicative for all four.
 
 A sublattice span(A, rE) with A non-scalar and r > 0 is stable under S1..S3
-iff r divides det(A), and stable under S4 iff r divides tr(A)^2 - det(A).
-On a stable sublattice the pairing restricts, in coordinates
-phi(x) = x1 A + x2 rE, to an integer pairing normed for the determinant form
+iff r divides det(A), and stable under S4 iff r divides tr(A)^2 - det(A)
+(forms._coupling_stable, which holds the proof).  On a stable sublattice the
+pairing restricts, in coordinates phi(x) = x1 A + x2 rE, to an integer
+pairing normed for the determinant form
 det(phi(x)) = (det A) x1^2 + (r tr A) x1 x2 + r^2 x2^2, and that pairing is
 an instance of the plus families (k = 1, 2, 3) or of the minus-minus family
 (k = 4).
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .forms import (Form, Mat2, Vec2, _off_scalar, coupling, hnf_rows, is_scalar, mat_det,
-                    mat_mul, mat_trace)
+from .forms import (Form, Mat2, Vec2, _coupling_stable, _off_scalar, coupling, hnf_rows,
+                    is_scalar, mat_det, mat_mul, mat_trace)
 from .pairings import (
     Pairing,
     PlusParams,
@@ -85,18 +86,9 @@ class Sublattice:
 
 
 def check_stability(lat: Sublattice, k: int) -> bool:
-    """Raw closure check: S_k of every basis pair lands back in the lattice.
-
-    Equivalent to r | det(A) for k <= 3 and to r | tr(A)^2 - det(A) for
-    k = 4 (tested property, not assumed here).
-    """
-    rE = ((lat.r, 0), (0, lat.r))
-    basis = (lat.a, rE)
-    for x in basis:
-        for y in basis:
-            if not lat.contains(matrix_pair(k, x, y)):
-                return False
-    return True
+    """Whether the plane is closed under S_k: r | det A for k <= 3,
+    r | tr(A)^2 - det A for k = 4 (forms._coupling_stable)."""
+    return _coupling_stable(lat.r, mat_trace(lat.a), mat_det(lat.a), k)
 
 
 def canonicalize(gen1: Mat2, gen2: Mat2, k: int) -> Sublattice:
@@ -139,33 +131,22 @@ def induced_pairing(
     """Restrict S_k to a stable sublattice, in (A, rE) coordinates.
 
     Returns the coordinate pairing, the determinant form
-    (det A, r tr A, r^2) it is normed for, and the recovered family
-    parameters: PlusParams(det(A)/r, tr(A), r, 0, 1) for k <= 3, or
-    Quadruple(-tr A, 0, -r, -(tr(A)^2 - det A)/r) for k = 4.  The
-    reconstruction through make_plus / make_minus_minus is verified
-    entry by entry before returning.  The four basis products that build
-    the pairing are the stability check: ValueError when one leaves the plane.
+    (det A, r tr A, r^2) it is normed for, and the family parameters:
+    PlusParams(det(A)/r, tr(A), r, 0, 1) for k <= 3, or
+    Quadruple(-tr A, 0, -r, -(tr(A)^2 - det A)/r) for k = 4.  The pairing
+    is read off the family: S_k of the basis pairs, written in coordinates,
+    are the entries of make_plus(k, ...) or make_minus_minus(...)
+    (forms._coupling_stable lists the products).  ValueError when the
+    plane is not stable under S_k.
     """
-    r = lat.r
-
-    def coordinates(x: Vec2, y: Vec2) -> Vec2:
-        coords = lat.coordinates(matrix_pair(k, lat.phi(x), lat.phi(y)))
-        if coords is None:
-            raise ValueError("sublattice is not stable under the requested pairing")
-        return coords
-
-    pairing = Pairing.from_bilinear(coordinates)
-    form = lat.det_form()
-
-    det_a = mat_det(lat.a)
-    tr_a = mat_trace(lat.a)
+    r, tr_a, det_a = lat.r, mat_trace(lat.a), mat_det(lat.a)
+    if not _coupling_stable(r, tr_a, det_a, k):
+        raise ValueError("sublattice is not stable under the requested pairing")
     params: PlusParams | Quadruple
-    if k in (1, 2, 3):
-        params = PlusParams(det_a // r, tr_a, r, 0, 1)
-        rebuilt, rebuilt_form = make_plus(k, params)
-    else:
+    if k == 4:
         params = Quadruple(-tr_a, 0, -r, -((tr_a * tr_a - det_a) // r))
-        rebuilt, rebuilt_form = make_minus_minus(params)
-    if rebuilt != pairing or rebuilt_form != form:
-        raise ArithmeticError("family reconstruction mismatch on a stable sublattice")
+        pairing, form = make_minus_minus(params)
+    else:
+        params = PlusParams(det_a // r, tr_a, r, 0, 1)
+        pairing, form = make_plus(k, params)
     return pairing, form, params

@@ -313,6 +313,28 @@ def test_semigroup_probe_budget_admits_every_catalog_form(monkeypatch):
         semigroup_probe(form)
 
 
+def test_semigroup_probe_searches_an_unreduced_form_reduced(monkeypatch):
+    """(29, 24, 5) is (1, 0, 1) in another basis.  Its own leading coefficient
+    bounded the probe at 375 * 2812 = 1,054,500 rows, over the budget; searched
+    as (1, 0, 1), with the same values on Z^2, it takes 375 * 523 = 196,125
+    and is closed.  No search runs on an unreduced form."""
+    represent = Form.represent
+
+    def reduced_only(form, *args):
+        assert form.is_reduced(), f"searched {form}"
+        return represent(form, *args)
+
+    monkeypatch.setattr(Form, "represent", reduced_only)
+    report = semigroup_probe(Form(29, 24, 5))
+    assert (report.counterexample_count, report.decided) == (0, True)
+    assert semigroup_probe(Form(29, -24, 5)).counterexample_count == 0
+    assert semigroup_probe(Form(58, 48, 10)).counterexample_count == 0
+    assert semigroup_probe(Form(5, 7, 3), 2).counterexample_count == 0
+    monkeypatch.setattr(forms, "MAX_SEARCH_ROWS", 196_124)
+    with pytest.raises(ValueError, match="could solve 196125 rows"):
+        semigroup_probe(Form(29, 24, 5))
+
+
 @given(coeff, coeff, coeff, small, small, small, small)
 @settings(max_examples=60)
 def test_doubled_gram_matches_polarization(m, k, n, x1, x2, y1, y2):

@@ -1,7 +1,9 @@
 """Tests for quadratic contexts, lattices, ideals and form embeddings.
 
 The Hermite reduction that lattices once ran by hand on ext_gcd lives on here,
-and only here, as the oracle for the shared forms.hnf_rows.
+and only here, as the oracle for the shared forms.hnf_rows.  So does the
+closure scan that stable_under once ran, as the oracle for the divisibility
+criterion on the canonical basis.
 """
 
 from fractions import Fraction
@@ -21,18 +23,21 @@ from normed_forms import (
     QuadElem,
     Quadruple,
     Sublattice,
+    canonicalize,
     check_stability,
     embed_form,
     hnf_from_generators,
+    induced_pairing,
     matrix_pair,
     order_lattice,
     principal_form,
     quadratic_order,
     sigma,
 )
-from normed_forms import lattices
+from normed_forms import lattices, matembed
 from normed_forms.forms import exact_sqrt, ext_gcd
 from normed_forms.lattices import _canonical_data
+from test_matembed import stability_oracle as matrix_stability_oracle
 
 deltas = st.sampled_from([-23, -4, -20, -8, 8, 12, 13, 5])
 rat = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -85,6 +90,12 @@ def canonical_data_oracle(gens):
     if 2 * u0 > r0:
         u0 -= r0
     return Fraction(r0, den), Fraction(u0, den), Fraction(cur[1], den)
+
+
+def stability_oracle(lat, k):
+    """Closure scan: sigma_k of every ordered generator pair lies in L."""
+    gens = (lat.e1, lat.e2)
+    return all(lat.contains(sigma(k, z, w)) for z in gens for w in gens)
 
 
 def outcome(fn, *args):
@@ -529,15 +540,17 @@ def test_matrix_embedding_examples():
 
 
 def test_matrix_embedding_refuses_by_one_stability_test():
-    """On span(r, zeta) over a grid of r and zeta, matrix_embedding refuses an
-    integer-normed lattice as not stable exactly when stable_under(k) is
-    false, and every other lattice as not integer-normed.  span(2, (1 + tau)/4)
-    at -15 has norm form (4, 1, 1) but trace(zeta) = 1/2, so it is the first
-    kind, not the second."""
+    """On span(r, zeta) over a grid of r and zeta, stable_under(k) agrees with
+    the closure scan for k = 1..4, both ways for every k, and matrix_embedding
+    refuses an integer-normed lattice as not stable exactly when the scan
+    fails, and every other lattice as not integer-normed; the planes it
+    returns pass the matrix closure scan.  span(2, (1 + tau)/4) at -15 has
+    norm form (4, 1, 1) but trace(zeta) = 1/2, so it is the first kind, not
+    the second."""
     ctx15 = Context(-15)
     quarter = Lattice(ctx15, ctx15.elem(2), ctx15.elem(Fr(1, 4), Fr(1, 4)))
     assert quarter.to_form() == Form(4, 1, 1)
-    seen = set()
+    seen, outcomes = set(), set()
     grid = [quarter]
     for delta in (-15, -23, 5, 12):
         ctx = Context(delta)
@@ -545,16 +558,89 @@ def test_matrix_embedding_refuses_by_one_stability_test():
                  for r in (Fr(1, 2), 1, 2, 3, 4) for u in range(-8, 9)
                  for v in (Fr(1, 4), Fr(1, 2), Fr(3, 4), 1, 2)]
     for lat in grid:
-        for k in (1, 2, 3):
-            kind = (lat.is_integer_normed(), lat.stable_under(k))
+        for k in (1, 2, 3, 4):
+            stable = stability_oracle(lat, k)
+            assert lat.stable_under(k) == stable
+            outcomes.add((k, stable))
+            if k == 4:
+                continue
+            kind = (lat.is_integer_normed(), stable)
             seen.add(kind)
             if kind == (True, True):
-                assert check_stability(lat.matrix_embedding(k), k)
+                assert matrix_stability_oracle(lat.matrix_embedding(k), k)
                 continue
             message = "not stable" if kind[0] else "not integer-normed"
             with pytest.raises(ValueError, match=message):
                 lat.matrix_embedding(k)
     assert seen == {(True, True), (True, False), (False, False)}
+    assert outcomes == {(k, stable) for k in (1, 2, 3, 4) for stable in (True, False)}
+
+
+@st.composite
+def rational_lattices(draw):
+    """A lattice of Q(tau): half of the time two random rational generators,
+    mostly not integer-normed; otherwise a determinant-1 recombination of
+    (r, zeta), with zeta in the order or with quarter coordinates and r a
+    divisor of norm(zeta) or of trace(zeta)^2 - norm(zeta) when that is a
+    nonzero integer, so that both outcomes of every sigma_k are common."""
+    ctx = Context(draw(deltas))
+    if draw(st.booleans()):
+        e1 = ctx.elem(draw(rat), draw(rat))
+        e2 = ctx.elem(draw(rat), draw(rat))
+        if e1.u * e2.v != e2.u * e1.v:
+            return Lattice(ctx, e1, e2)
+    if draw(st.booleans()):
+        zeta = ctx.elem(draw(intval), 0) + draw(st.integers(1, 6)) * ctx.order_generator()
+    else:
+        zeta = ctx.elem(Fr(draw(intval), 4), Fr(draw(st.integers(1, 8)), 4))
+    t, nm = zeta.trace(), zeta.norm()
+    target = abs(draw(st.sampled_from([nm, t * t - nm])))
+    if target.denominator == 1 and target and draw(st.booleans()):
+        target = int(target)
+        r = draw(st.sampled_from([d for d in range(1, target + 1) if target % d == 0]))
+    else:
+        r = draw(st.sampled_from([Fr(1, 2), 1, 2, 3, 4, 6]))
+    c1, c2 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return Lattice(ctx, ctx.elem(r) + c1 * zeta, ctx.elem(c2 * r) + (1 + c1 * c2) * zeta)
+
+
+@given(rational_lattices(), st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=500)
+def test_stable_under_matches_closure_oracle(lat, k):
+    """The criterion on the canonical basis agrees with the closure scan on
+    arbitrary rational lattices, integer-normed or not."""
+    assert lat.stable_under(k) == stability_oracle(lat, k)
+
+
+def test_stability_never_forms_a_product(monkeypatch):
+    """check_stability, canonicalize, induced_pairing, stable_under and
+    matrix_embedding decide stability and build pairings without a single
+    coupling product."""
+
+    def refuse(*args):
+        raise AssertionError("a coupling product was formed")
+
+    monkeypatch.setattr(matembed, "matrix_pair", refuse)
+    monkeypatch.setattr(lattices, "sigma", refuse)
+    prime = prime_over_two(ctx23())
+    assert [prime.stable_under(k) for k in (1, 2, 3, 4)] == [True, True, True, False]
+    for k in (1, 2, 3):
+        sub = prime.matrix_embedding(k)
+        assert check_stability(sub, k)
+        assert canonicalize(sub.phi((1, 1)), sub.phi((0, 1)), k).r == sub.r
+        assert induced_pairing(sub, k)[1] == sub.det_form()
+    sub = Sublattice(((1, 2), (3, 4)), 3)
+    assert [check_stability(sub, k) for k in (1, 2, 3, 4)] == [False, False, False, True]
+    assert induced_pairing(sub, 4)[2] == Quadruple(-5, 0, -3, -9)
+    with pytest.raises(ValueError, match="not stable"):
+        induced_pairing(sub, 1)
+    with pytest.raises(ValueError, match="not stable"):
+        canonicalize(sub.a, ((3, 0), (0, 3)), 2)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="coupling index must be 1..4"):
+            check_stability(sub, k)
+        with pytest.raises(ValueError, match="coupling index must be 1..4"):
+            prime.stable_under(k)
 
 
 def test_sigma_and_matrix_pair_share_the_index_error():
@@ -574,12 +660,7 @@ def test_matrix_embedding_respects_products():
     """The embedded plane is closed under the matching matrix product."""
     prime = prime_over_two(ctx23())
     for k in (1, 2, 3):
-        sub = prime.matrix_embedding(k)
-        a, r = sub.a, sub.r
-        rE = ((r, 0), (0, r))
-        for x in (a, rE):
-            for y in (a, rE):
-                assert sub.contains(matrix_pair(k, x, y))
+        assert matrix_stability_oracle(prime.matrix_embedding(k), k)
 
 
 def test_embed_form_examples():

@@ -2,7 +2,10 @@
 
 The rational line search that canonicalize once ran by hand, and the Fraction
 solve that Sublattice.coordinates once ran, live on here, and only here, as
-oracles for the integer Hermite normal form that replaced them.
+oracles for the integer Hermite normal form that replaced them.  So do the
+closure scan that check_stability once ran and the coordinate restriction
+that induced_pairing once built, as oracles for the divisibility criterion
+and the family constructors that replaced them.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ from normed_forms import (
     PLUS_VARIANT_TYPES,
     TYPE_MM,
     Form,
+    Pairing,
     PlusParams,
     Quadruple,
     Sublattice,
@@ -92,9 +96,43 @@ def canonicalize_oracle(gen1, gen2, k):
         (a[1][0], a[1][1] - t * r),
     )
     lat = Sublattice((tuple(a[0]), tuple(a[1])), r)
-    if not check_stability(lat, k):
+    if not stability_oracle(lat, k):
         raise ValueError("sublattice is not stable under the requested pairing")
     return lat
+
+
+def stability_oracle(lat, k):
+    """Closure scan: S_k of every basis pair lands back in the plane."""
+    basis = (lat.a, ((lat.r, 0), (0, lat.r)))
+    return all(lat.contains(matrix_pair(k, x, y)) for x in basis for y in basis)
+
+
+def induced_pairing_oracle(lat, k):
+    """S_k restricted to the plane in (A, rE) coordinates, and the plane's
+    determinant form; ValueError when a basis product leaves the plane."""
+
+    def coordinates(x, y):
+        coords = lat.coordinates(matrix_pair(k, lat.phi(x), lat.phi(y)))
+        if coords is None:
+            raise ValueError("sublattice is not stable under the requested pairing")
+        return coords
+
+    return Pairing.from_bilinear(coordinates), lat.det_form()
+
+
+@st.composite
+def planes(draw):
+    """span(A, rE) for A non-scalar: r is drawn at random half of the time,
+    and otherwise as a divisor of det A or of tr(A)^2 - det A, so that both
+    outcomes of every S_k are common."""
+    a = draw(mat.filter(nonscalar))
+    det, tr = mat_det(a), mat_trace(a)
+    target = abs(draw(st.sampled_from([det, tr * tr - det])))
+    if target and draw(st.booleans()):
+        r = draw(st.sampled_from([d for d in range(1, target + 1) if target % d == 0]))
+    else:
+        r = draw(st.integers(1, 12))
+    return Sublattice(a, r)
 
 
 def coordinates_oracle(self, x):
@@ -195,17 +233,36 @@ def test_stability_thresholds():
     assert not check_stability(sub3, 1)
 
 
-@given(mat.filter(nonscalar), st.integers(1, 12))
-@settings(max_examples=120)
-def test_stability_matches_divisibility(a, r):
-    """Stability under the four products reduces to two divisibilities."""
-    sub = Sublattice(a, r)
-    det, tr = mat_det(a), mat_trace(a)
-    expected_low = det % r == 0
-    expected_four = (tr * tr - det) % r == 0
-    for k in (1, 2, 3):
-        assert check_stability(sub, k) == expected_low
-    assert check_stability(sub, 4) == expected_four
+@given(planes(), st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=400)
+@example(Sublattice(((1, 2), (3, 4)), 2), 4)  # det -2, tr^2 - det 27
+@example(Sublattice(((1, 2), (3, 4)), 3), 4)
+@example(Sublattice(((2, 0), (0, 4)), 8), 1)  # diagonal, det 8
+@example(Sublattice(((0, 1), (0, 0)), 5), 4)  # nilpotent: det 0, tr 0
+def test_stability_matches_divisibility(sub, k):
+    """The closure scan agrees with r | det A (k <= 3) and r | tr(A)^2 - det A
+    (k = 4), which check_stability decides."""
+    det, tr = mat_det(sub.a), mat_trace(sub.a)
+    divides = (det if k <= 3 else tr * tr - det) % sub.r == 0
+    assert stability_oracle(sub, k) == divides == check_stability(sub, k)
+
+
+@given(planes(), st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=400)
+@example(Sublattice(((1, 2), (3, 4)), 2), 4)
+@example(Sublattice(((1, 2), (3, 4)), 3), 4)
+@example(Sublattice(((0, 1), (0, 0)), 5), 2)
+def test_induced_pairing_matches_coordinate_restriction(sub, k):
+    """The family pairing is the restriction of S_k, read in coordinates, and
+    is refused where the restriction leaves the plane."""
+    try:
+        want = induced_pairing_oracle(sub, k)
+    except ValueError:
+        with pytest.raises(ValueError, match="not stable under the requested pairing"):
+            induced_pairing(sub, k)
+        return
+    pairing, form, _ = induced_pairing(sub, k)
+    assert (pairing, form) == want
 
 
 def test_canonicalize_examples():

@@ -310,6 +310,11 @@ def test_scan_matches_oracle_on_derived_forms(entries, box):
 @example(Form(1, 1, -3), 3, 100, 20)  # D = 13
 @example(Form(0, 3, 2), 3, 100, 20)  # D = 9, a square, and m = 0
 @example(Form(-1, 1, 1), 3, 100, 20)  # D = 5 with m < 0
+@example(Form(29, 24, 5), 3, 100, 20)  # (1, 0, 1) in another basis: searched reduced
+@example(Form(29, -24, 5), 3, 100, 20)
+@example(Form(58, 48, 10), 3, 100, 20)  # content 2 times (29, 24, 5)
+@example(Form(5, 7, 3), 2, 100, 20)  # D = -11, unreduced, closed values searched
+@example(Form(-29, -24, -5), 3, 100, 20)  # negative definite, not reduced
 def test_probe_matches_oracle(form, sample_bound, search_bound, max_recorded):
     """Every report field agrees with the pair-by-pair probe."""
     assert semigroup_probe(form, sample_bound, search_bound, max_recorded) == probe_oracle(
