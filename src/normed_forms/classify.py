@@ -39,6 +39,14 @@ caps its trial division, isqrt(content), at MAX_CLASSIFY_BOX and an
 indefinite form's rows, box + 1 per positive divisor of the content, at
 MAX_CLASSIFY_BOX + 1; as 1 divides every content, the box is capped too,
 and with it the 2 box + 1 rows of the minus-minus scan, which runs second.
+
+Each public search also keeps the budget on its own.  minus_minus_witnesses
+refuses the same positive definite forms as full_classification, and an
+indefinite box over MAX_CLASSIFY_BOX, which search_plus refuses first inside
+full_classification.  search_plus refuses a positive definite form whose
+largest search, represent(c) on f / c for c the content, would solve more
+than MAX_CLASSIFY_BOX rows; that is isqrt(4 m c^2 // |disc|) + 1 rows, at
+most amax + 1 as c^2 <= m n, so inside full_classification it never fires.
 """
 
 from __future__ import annotations
@@ -115,6 +123,17 @@ def minus_minus_bounds(form: Form) -> tuple[int, int, int, int]:
     )
 
 
+def _budgeted_bounds(form: Form) -> tuple[int, int, int, int]:
+    """minus_minus_bounds, or ValueError when its 2 amax + 1 rows are over
+    the budget."""
+    bounds = minus_minus_bounds(form)
+    rows = 2 * bounds[0] + 1
+    if rows > MAX_CLASSIFY_BOX:
+        raise ValueError(f"the minus-minus search would solve {rows} rows, "
+                         f"more than {MAX_CLASSIFY_BOX}")
+    return bounds
+
+
 def _scan_quadruples(
     form: Form, bounds: tuple[int, int, int, int]
 ) -> list[Quadruple]:
@@ -178,7 +197,8 @@ def minus_minus_witnesses(
     Positive definite: the exact bounds make the list complete (DECIDED).
     Negative definite: no normed pairing of any type exists (DECIDED, empty).
     Indefinite: a cube of side box_bound is scanned; an empty result is
-    only BOUNDED.
+    only BOUNDED.  Over the budget (module docstring) it raises ValueError
+    before it solves any row.
     """
     kind = form.definiteness()
     if kind is Definiteness.DEGENERATE:
@@ -186,7 +206,10 @@ def minus_minus_witnesses(
     if kind is Definiteness.NEGATIVE_DEFINITE:
         return [], Decision.DECIDED
     if kind is Definiteness.POSITIVE_DEFINITE:
-        return _scan_quadruples(form, minus_minus_bounds(form)), Decision.DECIDED
+        return _scan_quadruples(form, _budgeted_bounds(form)), Decision.DECIDED
+    if box_bound > MAX_CLASSIFY_BOX:
+        raise ValueError(f"the minus-minus search would solve {2 * box_bound + 1} rows, "
+                         f"more than {2 * MAX_CLASSIFY_BOX + 1}")
     box = (box_bound, box_bound, box_bound, box_bound)
     hits = _scan_quadruples(form, box)
     return hits, Decision.DECIDED if hits else Decision.BOUNDED
@@ -208,7 +231,7 @@ def search_plus(
     Needs a positive divisor r of the content with g = form / r representing
     r; then form = r * g and any of the three plus constructors on
     (g.m, g.k, g.n, p, q) is a witness.  Negative r would only negate both
-    members of the pair (r, g) and gives nothing new.  Over its two limits
+    members of the pair (r, g) and gives nothing new.  Over its limits
     (module docstring) it raises ValueError before it solves any row.
     """
     kind = form.definiteness()
@@ -222,6 +245,13 @@ def search_plus(
     if root > MAX_CLASSIFY_BOX:
         raise ValueError(f"the plus search would trial-divide up to {root}, "
                          f"more than {MAX_CLASSIFY_BOX}")
+    if exact:
+        # represent(r) on form / r solves isqrt(4 m r^2 // |disc|) + 1 rows,
+        # most for r = content
+        rows = isqrt(4 * form.m * content * content // -form.discriminant()) + 1
+        if rows > MAX_CLASSIFY_BOX:
+            raise ValueError(f"the plus search would solve {rows} rows for one "
+                             f"divisor, more than {MAX_CLASSIFY_BOX}")
     divisors = _positive_divisors(content)
     rows = len(divisors) * (box_bound + 1)
     if not exact and rows > MAX_CLASSIFY_BOX + 1:
@@ -252,10 +282,7 @@ def full_classification(form: Form, box_bound: int = 100) -> ClassificationRepor
     if kind is Definiteness.DEGENERATE:
         raise DegenerateFormError("classification requires a nondegenerate form")
     if kind is Definiteness.POSITIVE_DEFINITE:
-        rows = 2 * minus_minus_bounds(form)[0] + 1
-        if rows > MAX_CLASSIFY_BOX:
-            raise ValueError(f"the minus-minus search would solve {rows} rows, "
-                             f"more than {MAX_CLASSIFY_BOX}")
+        _budgeted_bounds(form)  # before search_plus solves a row
     plus_params, plus_decision = search_plus(form, box_bound)
     quad, minus_decision = search_minus_minus(form, box_bound)
     return ClassificationReport(

@@ -389,6 +389,30 @@ class SemigroupReport:
     decided: bool
 
 
+def _probe_cap(search: Form, search_bound: int, values: int, top: int) -> int:
+    """The row cap of one semigroup_probe search on search, for a sample of
+    that many distinct values with largest value top (read on definite forms
+    only); or ValueError when the searches could solve more than
+    MAX_SEARCH_ROWS rows in all."""
+    # No search solves more than cap rows; write (m, k, n) for search.  A
+    # product t <= top^2 takes isqrt(4m t // |disc|) + 1 rows on a definite
+    # form, box + 1 on an indefinite one.  A closed-value search for u <= top
+    # runs on the principal form or f o f, reduced, so with leading
+    # coefficient at most sqrt(|disc|/3), hence at most mn (|disc| <= 4mn);
+    # it takes at most isqrt(4mn u // |disc|) + 1 rows, and n <= top: n is
+    # f(0, 1) when search is f, and otherwise, search being reduced, the
+    # least value of f on a vector independent of one of value m, at most
+    # the larger of f(1, 0) and f(0, 1).  The trial divisions of
+    # _nonresidue_primes and _is_prime stop below cap as well.
+    disc = search.discriminant()
+    cap = isqrt(4 * search.m * top * top // -disc) + 1 if disc < 0 else search_bound + 1
+    rows = (values * (values + 1) // 2 + 2 * values) * cap
+    if rows > MAX_SEARCH_ROWS:
+        raise ValueError(f"the semigroup probe could solve {rows} rows, "
+                         f"more than {MAX_SEARCH_ROWS}")
+    return cap
+
+
 def semigroup_probe(form: Form, sample_bound: int = 3,
                     search_bound: int = 100,
                     max_recorded: int = 20) -> SemigroupReport:
@@ -399,7 +423,8 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     counterexample pair is a proof that the form lacks the semigroup
     property; for indefinite forms the report is advisory only (decided is
     False).  ValueError, before any search, when the searches could solve
-    more than MAX_SEARCH_ROWS rows in all.
+    more than MAX_SEARCH_ROWS rows in all; a sample_bound too large for the
+    budget is refused before the sample is built.
 
     Most products are decided without a search.  0 is a closed value.  The
     genus rule: take an odd prime p | D (D the discriminant) with e = v_p(D)
@@ -484,35 +509,25 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     disc = form.discriminant()
     if disc == 0:
         raise DegenerateFormError("semigroup probe requires a nondegenerate form")
+    search = form
+    if disc < 0 < form.m and not form.is_reduced():
+        c, primitive = form.content_and_primitive()
+        search = Form(*(c * e for e in primitive.reduce()[0].coefficients()))
+    # Lower bounds first, so an oversized sample is never built: the sample
+    # has at least B + 1 distinct values (m x^2 for x = 0..B, or n y^2 when
+    # m = 0, or k x y when m = n = 0), and a positive definite form's largest
+    # value is at least m B^2 (a negative definite form's top below is 0).
+    _probe_cap(search, search_bound, max(sample_bound + 1, 0),
+               max(form.m, 0) * sample_bound ** 2)
     side = range(-sample_bound, sample_bound + 1)
     points = [(x1, x2) for x1 in side for x2 in side]
     # f(x)f(y) depends only on the two values, so each unordered pair of
     # distinct values is tested once and stands for mult*mult ordered pairs
     mult = Counter(map(form, points))
-    search = form
-    if disc < 0:
-        if form.m > 0 and not form.is_reduced():
-            c, primitive = form.content_and_primitive()
-            search = Form(*(c * e for e in primitive.reduce()[0].coefficients()))
-        # products of two values are >= 0; the largest m*t takes the most rows
-        top = max(mult, key=lambda u: search.m * u * u, default=0)
-        cap = isqrt(4 * search.m * top * top // -disc) + 1
-    else:
-        cap = search_bound + 1
-    # No search below solves more than cap rows; write (m, k, n) for search.
-    # A product t <= top^2 takes isqrt(4m t // |disc|) + 1 rows on a definite
-    # form, box + 1 on an indefinite one.  A closed-value search for u <= top
-    # runs on the principal form or f o f, reduced, so with leading
-    # coefficient at most sqrt(|disc|/3), hence at most mn (|disc| <= 4mn);
-    # it takes at most isqrt(4mn u // |disc|) + 1 rows, and n <= top: n is
-    # f(0, 1) when search is f, and otherwise, search being reduced, the
-    # least value of f on a vector independent of one of value m, at most
-    # the larger of f(1, 0) and f(0, 1).  The trial divisions of
-    # _nonresidue_primes and _is_prime stop below cap as well.
-    rows = (len(mult) * (len(mult) + 1) // 2 + 2 * len(mult)) * cap
-    if rows > MAX_SEARCH_ROWS:
-        raise ValueError(f"the semigroup probe could solve {rows} rows, "
-                         f"more than {MAX_SEARCH_ROWS}")
+    # definite: products of two values are >= 0; the largest m*t takes the
+    # most rows
+    top = max(mult, key=lambda u: search.m * u * u, default=0)
+    cap = _probe_cap(search, search_bound, len(mult), top)
     ramified = _nonresidue_primes(form, disc, cap)
     modulus = prod(p ** e for p, e in ramified)
     representable: dict[int, bool] = {}

@@ -13,13 +13,14 @@ three points that fix a binary quadratic form (bracket_is_multiplicative).
 
 Anchoring the bracket at a base vector e0 with g(e0) = r != 0 produces three
 bilinear pairings normed for f = r*g; they coincide, matrix for matrix, with
-the three plus-type families of make_plus.
+the three plus-type families of make_plus, so anchored_pairings returns those
+(the proof is in its docstring).
 """
 
 from __future__ import annotations
 
 from .forms import QUADRATIC_POINTS, Form, Vec2
-from .pairings import Pairing
+from .pairings import Pairing, PlusParams, make_plus
 
 
 def bracket(form: Form, x: Vec2, y: Vec2, e: Vec2) -> Vec2:
@@ -72,19 +73,17 @@ def anchored_pairings(
         (x, y) |-> [x, y, e0]/r,  [y, e0, x]/r,  [x, e0, y]/r
 
     are integer bilinear pairings normed for f, of types (+,+), (-,+), (+,-),
-    and equal exactly to make_plus(1|2|3, PlusParams(g.m, g.k, g.n, *e0)).
+    and equal exactly to make_plus(1|2|3, PlusParams(g.m, g.k, g.n, *e0)),
+    which is what is returned.  Proof: the polar form of f = r*g is r*F_g,
+    so [x, y, e0]_f / r = [x, y, e0]_g, with no division at all, and likewise
+    for the other two maps.  Each entry of [e_i, e_j, e0]_g, [e_j, e0, e_i]_g
+    and [e_i, e0, e_j]_g is bilinear in (m, k, n) = (g.m, g.k, g.n) and
+    e0 = (p, q), as the bracket is linear in the form and in e; so is each
+    entry of make_plus(1|2|3, PlusParams(m, k, n, p, q)).  Two bilinear maps
+    agree once they agree on the 3 x 2 pairs of basis vectors, and there
+    the entries are equal (the test suite compares all six exactly).
     """
-    r = base(e0)
-    if r == 0:
+    if base(e0) == 0:
         raise ValueError("anchor vector must have nonzero form value")
-    f = Form(r * base.m, r * base.k, r * base.n)
-
-    def divided(w: Vec2) -> Vec2:
-        if w[0] % r or w[1] % r:
-            raise ArithmeticError("anchored pairing entries must be divisible by r")
-        return (w[0] // r, w[1] // r)
-
-    s1 = Pairing.from_bilinear(lambda x, y: divided(bracket(f, x, y, e0)))
-    s2 = Pairing.from_bilinear(lambda x, y: divided(bracket(f, y, e0, x)))
-    s3 = Pairing.from_bilinear(lambda x, y: divided(bracket(f, x, e0, y)))
-    return (s1, f), (s2, f), (s3, f)
+    params = PlusParams(base.m, base.k, base.n, *e0)
+    return make_plus(1, params), make_plus(2, params), make_plus(3, params)

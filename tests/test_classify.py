@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,6 +247,47 @@ def test_full_classification_refuses_over_budget(no_rows, form, box, message,
         with pytest.raises(ValueError) as info:
             search_plus(form, box)
         assert str(info.value) == message
+
+
+# (10^15, 1; 10^15 - 1, 1) maps (1, 0, 1) onto this form of content 1,
+# (1999999999999998000000000000001, 3999999999999998, 2), whose plus search
+# for r = 1 would solve isqrt(4m // 4) + 1 rows
+FAR_UNIT = Form(1, 0, 1).transform(((10**15, 1), (10**15 - 1, 1)))
+# (search, form, box_bound, message) for the public searches on their own
+SEARCH_OVER_BUDGET = [
+    (minus_minus_witnesses, Form(10**30, 1, 10**30), 100,
+     f"the minus-minus search would solve {2 * 10**15 + 1} rows, more than {CAP}"),
+    (search_minus_minus, Form(10**30, 1, 10**30), 100,
+     f"the minus-minus search would solve {2 * 10**15 + 1} rows, more than {CAP}"),
+    (minus_minus_witnesses, Form(1, 3, 1), 10**9,
+     f"the minus-minus search would solve {2 * 10**9 + 1} rows, "
+     f"more than {2 * CAP + 1}"),
+    (search_plus, FAR_UNIT, 100,
+     f"the plus search would solve {isqrt(FAR_UNIT.m) + 1} rows for one divisor, "
+     f"more than {CAP}"),
+    (search_plus, Form(CAP**2, 0, CAP**2), 100,
+     f"the plus search would solve {CAP + 1} rows for one divisor, more than {CAP}"),
+]
+
+
+@pytest.mark.parametrize("search, form, box, message", SEARCH_OVER_BUDGET)
+def test_public_searches_refuse_over_budget(no_rows, search, form, box, message):
+    """Each public search keeps the budget on its own, before it solves a row
+    or trial-divides the content."""
+    no_rows()
+    with pytest.raises(ValueError) as info:
+        search(form, box)
+    assert str(info.value) == message
+
+
+def test_public_search_budgets_admit_their_boundary():
+    """search_plus still searches a positive definite form of content
+    (CAP - 1)^2, whose plus search for r = content solves exactly CAP rows.
+    (The indefinite box of MAX_CLASSIFY_BOX is pinned through the classify
+    command, in tests/test_cli.py.)"""
+    edge = CAP - 1
+    params, decision = search_plus(Form(edge**2, 0, edge**2))
+    assert (params, decision) == (PlusParams(edge, 0, edge, 0, -1), Decision.DECIDED)
 
 
 def test_full_classification_refuses_degenerate_forms(no_rows):

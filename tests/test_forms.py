@@ -1,6 +1,7 @@
 """Tests for binary quadratic forms: evaluation, reduction, representation."""
 
 import time
+from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -300,6 +301,59 @@ def test_semigroup_probe_refuses_a_hostile_form_at_once(monkeypatch):
     with pytest.raises(ValueError, match="semigroup probe could solve .* rows, more than"):
         semigroup_probe(Form(10**30, 1, 10**30))
     assert time.perf_counter() - start < 1.0
+
+
+def test_semigroup_probe_refuses_a_huge_sample_before_building_it(monkeypatch):
+    """A sample_bound over the budget is refused before the (2B + 1)^2 sample
+    points and their Counter exist; B = 200 would still be harmless to build."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the probe built its sample before checking its budget")
+
+    monkeypatch.setattr(forms, "Counter", never)
+    with pytest.raises(ValueError, match="semigroup probe could solve .* rows, more than"):
+        semigroup_probe(Form(1, 0, 1), sample_bound=200)
+
+
+def probe_rows_oracle(form, sample_bound, search_bound):
+    """The probe's row bound computed from its built sample."""
+    side = range(-sample_bound, sample_bound + 1)
+    values = {form((x1, x2)) for x1 in side for x2 in side}
+    disc = form.discriminant()
+    if disc > 0:
+        cap = search_bound + 1
+    else:
+        search = form
+        if form.m > 0 and not form.is_reduced():
+            c, primitive = form.content_and_primitive()
+            search = Form(*(c * e for e in primitive.reduce()[0].coefficients()))
+        top = max(values, key=lambda u: search.m * u * u, default=0)
+        cap = isqrt(4 * search.m * top * top // -disc) + 1
+    return (len(values) * (len(values) + 1) // 2 + 2 * len(values)) * cap
+
+
+@given(coeff, coeff, coeff, st.integers(-1, 6), st.integers(0, 20))
+@settings(max_examples=200)
+def test_semigroup_probe_early_budget_refuses_nothing_more(m, k, n, sample_bound,
+                                                           search_bound):
+    """With the budget at the row bound of the built sample, the check made
+    before the sample is built never refuses: it reaches the sample."""
+    form = Form(m, k, n)
+    if form.discriminant() == 0:
+        return
+
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms, "MAX_SEARCH_ROWS", probe_rows_oracle(form, sample_bound,
+                                                                  search_bound))
+        patch.setattr(forms, "Counter", built)
+        with pytest.raises(Built):
+            semigroup_probe(form, sample_bound, search_bound)
 
 
 def test_semigroup_probe_budget_admits_every_catalog_form(monkeypatch):
