@@ -23,8 +23,17 @@ obeys the exact coordinate bounds
     a^2 <= 4 m^2 n / |disc|    b^2 <= 4 n^3 / |disc|
     c^2 <= 4 m n^2 / |disc|    d^2 <= 4 m^3 / |disc|
 
-derived from the trigonometric parametrization of the real witness curve
-(module curve; this module itself uses integers only).  For negative definite
+read off the witness's normed pairing s (pairings.make_minus_minus).  Its
+basis values are s(e1, e1) = (a, -d), s(e1, e2) = (c, -a) and
+s(e2, e2) = (b, -c), so f takes the values m^2, m n and n^2 there; directly,
+f(a, -d) = (a^2 - c d)^2 and f(b, -c) = (c^2 - a b)^2 expand as f(c, -a)
+does above.  A point of the ellipse f = t has
+4m t = (2m x1 + k x2)^2 + |disc| x2^2 and 4n t = (k x1 + 2n x2)^2 + |disc| x1^2,
+so |x2| <= sqrt(4m t / |disc|) and |x1| <= sqrt(4n t / |disc|).  These row
+and column bounds at (a, -d), t = m^2 give the bounds on a and d; at
+(c, -a), t = m n, the bound on c (and a's again); and at (b, -c), t = n^2,
+the bound on b.  This module uses integers only; the real witness curve
+(module curve) agrees with the box but proves nothing.  For negative definite
 forms no normed pairing exists at all: the right side of
 f(s(x, y)) = f(x) f(y) is positive on nonzero arguments while the left side
 never is.  Indefinite forms get an honest box search; a miss is then merely
@@ -110,7 +119,8 @@ class ClassificationReport:
 
 
 def minus_minus_bounds(form: Form) -> tuple[int, int, int, int]:
-    """Exact per-coordinate bounds on minus-minus witnesses (definite only)."""
+    """Exact per-coordinate bounds on minus-minus witnesses (definite only),
+    the floors of the module docstring's four square roots."""
     if form.definiteness() is not Definiteness.POSITIVE_DEFINITE:
         raise ValueError("witness bounds hold for positive definite forms")
     m, k, n = form.coefficients()

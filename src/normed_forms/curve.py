@@ -3,9 +3,9 @@
 For m > 0 and n > 0, theta sweeps out embeddings (alpha, beta, gamma, delta)
 realizing the form over the reals, using circular functions in the definite
 case and hyperbolic ones in the indefinite case; each embedding induces a
-minus-minus quadruple (a, b, c, d).  The exact witness bounds of
-classify.minus_minus_bounds come from this parametrization; the curve itself
-serves plotting and cross-checks, and nothing exact depends on it.
+minus-minus quadruple (a, b, c, d).  Definite points agree with the exact
+bounds of classify.minus_minus_bounds, proved there without the curve, which
+serves plotting and cross-checks; nothing exact depends on it.
 """
 
 from __future__ import annotations
@@ -29,18 +29,18 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """A real embedding (alpha, beta, gamma, delta) of a form.
+    """A real embedding (alpha, beta, gamma, delta) of a form (m, k, n).
 
-    Realizes the form through alpha^2 + eps gamma^2 = m,
-    2(alpha beta + eps gamma delta) = k, beta^2 + eps delta^2 = n, where eps
-    is +1 in the circular case and -1 in the hyperbolic case.
-    """
+    alpha^2 + eps gamma^2 = m, 2(alpha beta + eps gamma delta) = k and
+    beta^2 + eps delta^2 = n, with eps = +1 circular or -1 hyperbolic, and
+    w = alpha delta - beta gamma."""
 
     alpha: float
     beta: float
     gamma: float
     delta: float
     eps: int
+    w: float
 
     def realized_coefficients(self) -> tuple[float, float, float]:
         """(m, k, n) this embedding induces, for checking against a form."""
@@ -51,13 +51,11 @@ class EmbeddingMatrix:
         )
 
 
-def _curve_context(form: Form) -> tuple[float, int]:
-    """(phase, eps) of the witness curve; eps is +1 circular, -1 hyperbolic.
-
-    The phase is acos(k / sqrt(4mn)) or acosh(|k| / sqrt(4mn)), taken as
+def _curve_context(form: Form) -> tuple[float, int, float]:
+    """(phase, eps, sqrt(|disc|)) of the witness curve.  The phase,
+    acos(k / sqrt(4mn)) or acosh(|k| / sqrt(4mn)), is taken as
     atan2(sqrt(|disc|), k) and asinh(sqrt(disc) / sqrt(4mn)) from the exact
-    integer discriminant, so no digits cancel when |disc| is small against 4mn.
-    """
+    integer discriminant, so no digits cancel when |disc| is small against 4mn."""
     kind = form.definiteness()
     if kind is Definiteness.DEGENERATE:
         raise DegenerateFormError("the witness curve needs a nondegenerate form")
@@ -66,14 +64,14 @@ def _curve_context(form: Form) -> tuple[float, int]:
         raise ValueError("the witness curve needs m > 0 and n > 0")
     disc = form.discriminant()
     try:
+        root = math.sqrt(abs(disc))
         if kind is Definiteness.POSITIVE_DEFINITE:
-            phase = math.atan2(math.sqrt(-disc), k)
-            return (-phase if k < 0 else phase), 1
-        return math.asinh(math.sqrt(disc) / math.sqrt(4 * m * n)), -1
+            phase = math.atan2(root, k)
+            return (-phase if k < 0 else phase), 1, root
+        return math.asinh(root / math.sqrt(4 * m * n)), -1, root
     except OverflowError:
-        raise ValueError(
-            "the coefficients are too large for the floating-point witness curve"
-        ) from None
+        raise ValueError("the coefficients are too large for the "
+                         "floating-point witness curve") from None
 
 
 def curve_phase(form: Form) -> float:
@@ -86,8 +84,17 @@ def curve_embedding(form: Form, theta: float, branch: int = 1) -> EmbeddingMatri
 
     cosh is even, so a hyperbolic phase cannot carry the sign of k; for an
     indefinite form with k < 0 the curve negates beta and delta instead.
+
+    w = alpha delta - beta gamma is read off the exact discriminant, not
+    computed by a cancellation.  Every real embedding of (m, k, n) has
+    (alpha^2 + eps gamma^2)(beta^2 + eps delta^2) - (alpha beta + eps gamma
+    delta)^2 = eps w^2, that is mn - k^2/4 = eps w^2, so w^2 = |disc|/4.  On
+    the curve w = sqrt(mn) sin(phase) or sigma sqrt(mn) sinh(phase) at every
+    theta (sigma = -1 where beta and delta are negated; the branch sign
+    cancels), and the phase has the sign of k in (-pi, pi) or is positive, so
+    w is -sqrt(|disc|)/2 when k < 0 and +sqrt(|disc|)/2 otherwise.
     """
-    phase, eps = _curve_context(form)
+    phase, eps, root = _curve_context(form)
     s, c = (math.sin, math.cos) if eps == 1 else (math.sinh, math.cosh)
     m, k, n = form.coefficients()
     sign = 1 if branch >= 0 else -1
@@ -99,19 +106,13 @@ def curve_embedding(form: Form, theta: float, branch: int = 1) -> EmbeddingMatri
         gamma=sm * s(theta),
         delta=sn * s(theta + phase),
         eps=eps,
+        w=(-root if k < 0 else root) / 2,
     )
 
 
 def embedding_to_quadruple(emb: EmbeddingMatrix) -> tuple[float, float, float, float]:
-    """Recover the quadruple a witness embedding induces.
-
-    Requires w = alpha delta - beta gamma != 0 with at least half its bits left
-    after the cancellation; far out on a hyperbola both products grow like
-    exp(2 |theta|) while w stays fixed, and ZeroDivisionError says so."""
-    alpha, beta, gamma, delta, eps = emb.alpha, emb.beta, emb.gamma, emb.delta, emb.eps
-    w = alpha * delta - beta * gamma
-    if abs(w) <= 2**-26 * (abs(alpha * delta) + abs(beta * gamma)):
-        raise ZeroDivisionError("embedding is degenerate to floating-point precision")
+    """Recover the quadruple a witness embedding induces (w != 0)."""
+    alpha, beta, gamma, delta, eps, w = emb.alpha, emb.beta, emb.gamma, emb.delta, emb.eps, emb.w
     a = (delta * (alpha * alpha - eps * gamma * gamma) + 2 * alpha * beta * gamma) / w
     b = delta * (3 * beta * beta - eps * delta * delta) / w
     c = (gamma * (beta * beta - eps * delta * delta) + 2 * alpha * beta * delta) / w
@@ -132,12 +133,10 @@ def curve_sample(form: Form, thetas, branch: int = 1) -> list[CurvePoint]:
     for theta in thetas:
         try:
             quad = curve_quadruple(form, theta, branch)
-            finite = all(map(math.isfinite, quad))
-        except (OverflowError, ZeroDivisionError):
-            finite = False
-        if not finite:
-            raise ValueError(
-                f"the witness curve leaves the floating-point range at theta = {theta}"
-            )
+        except OverflowError:  # cosh or sinh past |theta| of about 710
+            quad = (math.inf,)
+        if not all(map(math.isfinite, quad)):
+            raise ValueError("the witness curve leaves the floating-point range "
+                             f"at theta = {theta}")
         points.append(CurvePoint(float(theta), *quad))
     return points

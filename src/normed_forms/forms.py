@@ -42,8 +42,8 @@ IDENTITY: Mat2 = ((1, 0), (0, 1))
 
 # The package's one search budget, in rows solved (about 0.8 s for one
 # indefinite search at the cap).  classify and cli import it as
-# MAX_CLASSIFY_BOX; semigroup_probe refuses a form whose searches could solve
-# more rows.
+# MAX_CLASSIFY_BOX; Form.represent refuses a search, and semigroup_probe a
+# form, whose searches could solve more rows.
 MAX_SEARCH_ROWS = 10**6
 
 # a x1^2 + b x1 x2 + c x2^2 takes the values a, c and a + b + c here, so these
@@ -316,10 +316,22 @@ class Form:
         Indefinite and degenerate forms: bounded search over
         |x1|, |x2| <= box_bound (see _row_solutions); None only means "not
         found within the box".
+
+        ValueError, before any row is solved, when the search would solve
+        more than MAX_SEARCH_ROWS rows: R + 1 on a definite form with a
+        target of its sign, box_bound + 1 otherwise (the limit is then
+        MAX_SEARCH_ROWS + 1 rows, as for the CLI's --box).  No call inside
+        the package is refused: search_plus refuses a form whose represent
+        calls would exceed these counts before it makes one, and
+        semigroup_probe's searches each solve at most the cap of
+        _probe_cap, which is at most MAX_SEARCH_ROWS.
         """
         m, k = self.m, self.k
         absd = 4 * m * self.n - k * k
         if absd <= 0:
+            if box_bound > MAX_SEARCH_ROWS:
+                raise ValueError(f"the representation search would solve {box_bound + 1} "
+                                 f"rows, more than {MAX_SEARCH_ROWS + 1}")
             return next(_row_solutions(self, target, range(-box_bound, 1), box_bound), None)
         if m < 0:
             m, k, target = -m, -k, -target
@@ -327,7 +339,11 @@ class Form:
             return None
         two_m = 2 * m
         four_mt = two_m * 2 * target
-        for y in range(isqrt(four_mt // absd), -1, -1):
+        top = isqrt(four_mt // absd)
+        if top + 1 > MAX_SEARCH_ROWS:
+            raise ValueError(f"the representation search would solve {top + 1} rows, "
+                             f"more than {MAX_SEARCH_ROWS}")
+        for y in range(top, -1, -1):
             row = four_mt - absd * y * y
             s = isqrt(row)
             if s * s == row:

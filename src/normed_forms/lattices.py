@@ -27,8 +27,10 @@ matching discriminant.
 
 embed_form writes a form (m, k, n) as the norm form of a lattice: it finds
 e1 with norm(e1) = m through the shared row-solve kernel of forms (as the
-form (-Delta, 0, 1) on (b, a)), and e2 in closed form, e1 (k + tau) / (2m)
-when m != 0 and the unique zero-divisor solution when m = 0.
+form (-Delta, 0, 1) on (b, a)) among the e1 = (a + b tau)/d of height
+max(|a|, |b|, d) <= 10, a fixed bound, and e2 in closed form,
+e1 (k + tau) / (2m) when m != 0 and the unique zero-divisor solution when
+m = 0.
 """
 
 from __future__ import annotations
@@ -374,13 +376,19 @@ def order_lattice(ctx: Context, delta_star: int) -> Lattice:
     return Lattice(ctx, ctx.one(), ctx.elem(omega.u, omega.v / s))
 
 
-def embed_form(form: Form, height_bound: int = 10) -> Lattice | None:
+# The height of the numerators and denominator embed_form tries for e1.  The
+# search is a box, not a decision: where m is no rational norm it visits every
+# candidate, about (2/3) H^3 rows for height H, so the height stays fixed.
+_EMBED_HEIGHT = 10
+
+
+def embed_form(form: Form) -> Lattice | None:
     """Search for a lattice whose basis realizes the given form exactly.
 
     Seeks e1, e2 in Q(tau), tau^2 = Delta = disc(form), with norm(e1) = m,
     trace(e1 conj(e2)) = k, norm(e2) = n, positively oriented
     (u1 v2 - u2 v1 > 0).  e1 runs over the nonzero (a + b tau)/d with
-    gcd(a, b, d) = 1 and max(|a|, |b|, d) <= height_bound, in increasing
+    gcd(a, b, d) = 1 and max(|a|, |b|, d) <= _EMBED_HEIGHT = 10, in increasing
     height h, then d, then (a, b); the (b, a) with a^2 - Delta b^2 = m d^2
     are the row solutions of the form (-Delta, 0, 1).  e2 is then fixed:
 
@@ -409,7 +417,7 @@ def embed_form(form: Form, height_bound: int = 10) -> Lattice | None:
     ctx = Context(delta)
     m, k, n = form.m, form.k, form.n
     norm_form = Form(-delta, 0, 1)  # (b, a) -> a^2 - delta b^2
-    for h in range(1, height_bound + 1):
+    for h in range(1, _EMBED_HEIGHT + 1):
         for d in range(1, h + 1):
             for b, a in _row_solutions(norm_form, m * d * d, range(-h, h + 1), h):
                 if max(abs(a), abs(b), d) != h or gcd(a, b, d) != 1:

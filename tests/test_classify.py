@@ -14,6 +14,7 @@ from normed_forms import (
     Context,
     Decision,
     DegenerateFormError,
+    Definiteness,
     Form,
     Lattice,
     Order3Verdict,
@@ -352,14 +353,34 @@ def test_curve_rejects_unusable_forms():
             curve_phase(form)
         with pytest.raises(ValueError, match="too large"):
             curve_embedding(form, 0.0)
-    # overflow, and w = alpha delta - beta gamma lost to cancellation: far out
-    # on a hyperbola, or where a tiny phase leaves the products nearly equal
-    for form, theta in ((Form(1, 3, 1), 1000.0),
-                        (Form(10**20, 2 * 10**20 + 1, 10**20), 0.5),
-                        (Form(10**17, 2 * 10**17 - 1, 10**17), 0.5),
-                        (Form(1, 3, 1), 12.0), (Form(1, -3, 1), -12.0)):
+    # overflow is the only way out of the float range: the points of
+    # (1, 3, 1) pass 10^308 at theta = 236
+    for theta in (236.0, 1000.0):
         with pytest.raises(ValueError, match="floating-point range"):
-            curve_sample(form, [theta])
+            curve_sample(Form(1, 3, 1), [theta])
+
+
+def assert_solves_witness_equations(form, pt, rel=1e-12):
+    """a^2 - c d = m, a c - b d = k and c^2 - a b = n, each to rel of the
+    largest term any of them can have (the square of the largest coordinate,
+    or the coefficient)."""
+    size = max(abs(pt.a), abs(pt.b), abs(pt.c), abs(pt.d)) ** 2
+    for lhs, target in ((pt.a**2 - pt.c * pt.d, form.m),
+                        (pt.a * pt.c - pt.b * pt.d, form.k),
+                        (pt.c**2 - pt.a * pt.b, form.n)):
+        assert abs(lhs - target) <= rel * max(size, abs(target))
+
+
+def test_curve_keeps_points_where_alpha_delta_and_beta_gamma_cancel():
+    """w = alpha delta - beta gamma comes from the discriminant, so points far
+    out on a hyperbola, or where a tiny phase leaves alpha delta and
+    beta gamma nearly equal, stay finite and solve the witness equations."""
+    for form, theta in ((Form(1, 3, 1), 12.0), (Form(1, -3, 1), -12.0),
+                        (Form(10**20, 2 * 10**20 + 1, 10**20), 0.5),
+                        (Form(10**17, 2 * 10**17 - 1, 10**17), 0.5)):
+        (pt,) = curve_sample(form, [theta])
+        assert all(map(math.isfinite, (pt.a, pt.b, pt.c, pt.d)))
+        assert_solves_witness_equations(form, pt)
 
 
 CURVE_FORMS = [(4, 2, 6), (2, 1, 3), (1, 0, 1), (3, -1, 5), (1, 3, 1), (2, 5, 1),
@@ -378,6 +399,42 @@ def test_embedding_realizes_coefficients(coeffs, theta):
     assert emb.eps == (1 if f.discriminant() < 0 else -1)
     for value, target in zip(emb.realized_coefficients(), f.coefficients()):
         assert close(value, target, 1e-7)
+
+
+@given(
+    st.sampled_from(CURVE_FORMS),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    st.sampled_from([1, -1]),
+)
+@settings(max_examples=120)
+def test_embedding_determinant_is_read_off_the_discriminant(coeffs, theta, branch):
+    """emb.w is alpha delta - beta gamma, of size sqrt(|disc|)/2 and the sign of k."""
+    f = Form(*coeffs)
+    emb = curve_embedding(f, theta, branch)
+    assert close(emb.w, emb.alpha * emb.delta - emb.beta * emb.gamma, 1e-9 * abs(emb.w))
+    assert emb.w == (-1 if f.k < 0 else 1) * math.sqrt(abs(f.discriminant())) / 2
+
+
+@given(st.integers(-12, 12), st.integers(-12, 12), st.integers(-12, 12),
+       st.integers(-12, 12))
+@settings(max_examples=300)
+def test_minus_minus_box_holds_every_generating_quadruple(a, b, c, d):
+    """The exact proof of the box: the pairing of a quadruple whose form is
+    positive definite takes the values m^2, m n and n^2 at its basis values
+    (a, -d), (c, -a) and (b, -c), and the coordinates lie in the box."""
+    quad = Quadruple(a, b, c, d)
+    pairing, f = make_minus_minus(quad)
+    if f.definiteness() is not Definiteness.POSITIVE_DEFINITE:
+        return
+    m, n = f.m, f.n
+    for (x, y), value, target in ((((1, 0), (1, 0)), (a, -d), m * m),
+                                  (((1, 0), (0, 1)), (c, -a), m * n),
+                                  (((0, 1), (0, 1)), (b, -c), n * n)):
+        assert pairing(x, y) == value
+        assert f(value) == target
+    amax, bmax, cmax, dmax = minus_minus_bounds(f)
+    assert abs(a) <= amax and abs(b) <= bmax and abs(c) <= cmax and abs(d) <= dmax
+    assert quad in minus_minus_witnesses(f)[0]
 
 
 def closed_form_quadruple(form, theta, branch=1):
@@ -433,14 +490,13 @@ def test_curve_matches_closed_form_oracle(coeffs, theta, branch):
 )
 @settings(max_examples=150)
 def test_curve_points_solve_witness_equations(coeffs, theta):
-    """(a, b, c, d) on the curve satisfies the three equations over the reals."""
+    """(a, b, c, d) on the curve satisfies the three equations over the reals,
+    on a hyperbola too for |theta| <= 100, where the points reach 10^130."""
     f = Form(*coeffs)
     if f.discriminant() > 0:
-        theta = theta / 3.15 - 1  # the points grow like exp(3 |theta|)
+        theta = 100 * (theta / 3.15 - 1)
     (pt,) = curve_sample(f, [theta])
-    assert close(pt.a**2 - pt.c * pt.d, f.m, 1e-7)
-    assert close(pt.a * pt.c - pt.b * pt.d, f.k, 1e-7)
-    assert close(pt.c**2 - pt.a * pt.b, f.n, 1e-7)
+    assert_solves_witness_equations(f, pt)
 
 
 @given(

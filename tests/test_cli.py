@@ -182,11 +182,24 @@ def test_curve_rejects_zero_sides(capsys):
                  ["1", "0", "1", "--theta-max", "nan"], ["1", "0", "1", "--theta-max", "inf"],
                  ["1", "0", "1", "--theta-min=-inf"],
                  ["1", "0", "1", "--theta-min", "1e308", "--theta-max=-1e308"],
-                 [str(10**20), str(2 * 10**20 + 1), str(10**20)],
-                 ["1", "3", "1", "--theta-min", "12"]):
+                 ["1", "3", "1", "--theta-min", "236", "--samples", "1"],
+                 ["1", "3", "1", "--theta-min", "1000"]):
         code, out, err = run(capsys, ["curve", *argv])
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+
+def test_curve_far_windows(capsys):
+    """A tiny phase or a window far out on a hyperbola gives finite points;
+    only overflow exits 2."""
+    for argv in ([str(10**20), str(2 * 10**20 + 1), str(10**20)],
+                 ["1", "3", "1", "--theta-min", "12"],
+                 ["1", "3", "1", "--theta-min", "9", "--theta-max", "12"],
+                 ["1", "3", "1", "--theta-min", "235", "--samples", "1"]):
+        code, out, err = run(capsys, ["curve", *argv])
+        assert code == 0 and err == ""
+        rows = [line for line in out.splitlines() if not line.startswith(("#", "theta"))]
+        assert rows and all(map(math.isfinite, map(float, ",".join(rows).split(","))))
 
 
 def test_verify_accepts_witness(capsys):

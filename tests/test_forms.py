@@ -237,6 +237,25 @@ def test_represent_negative_definite_delegates():
     assert Form(-1, 0, -2).represent(3) is None
 
 
+def test_represent_refuses_searches_over_the_budget():
+    """More than MAX_SEARCH_ROWS rows (one more for a box) raise before any
+    row is solved; the limits themselves are searched."""
+    far_unit = Form(1999999999999998000000000000001, 3999999999999998, 2)  # (1, 0, 1)
+    for form, target, box in ((far_unit, 3, 100), (Form(1, 3, 1), 7, 10**12),
+                              (Form(1, 0, 1), 10**12, 100),
+                              (Form(1, 3, 1), 10**12, 10**6 + 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="representation search would solve"):
+            form.represent(target, box_bound=box)
+        assert time.perf_counter() - start < 1.0
+    assert Form(1, 0, 1).represent((10**6 - 1) ** 2) == (0, -999999)  # 10^6 rows
+    assert Form(1, 3, 1).represent(10**12, box_bound=10**6) == (0, -10**6)  # first row
+    with pytest.raises(ValueError, match="2449489742783177 rows, more than 1000000$"):
+        far_unit.represent(3)
+    with pytest.raises(ValueError, match="1000002 rows, more than 1000001$"):
+        Form(1, 3, 1).represent(10**12, box_bound=10**6 + 1)
+
+
 @given(st.integers(1, 12), st.integers(-12, 12), st.integers(1, 12), st.integers(-40, 40))
 def test_represent_witness_evaluates(m, k, n, t):
     """A returned witness really evaluates to the target."""

@@ -707,6 +707,16 @@ def test_embed_form_zero_leading_coefficient(coefficients):
     assert lat.e1.norm() == 0 and not lat.e1.is_zero()
 
 
+def test_embed_form_height_is_fixed():
+    """The search height is not a parameter: a large one hung on forms whose
+    m is no rational norm, like 2 for Q(sqrt(-20)) (a^2 + 20 b^2 = 2 d^2 has
+    no nonzero solution mod 5)."""
+    with pytest.raises(TypeError):
+        embed_form(Form(2, 2, 3), height_bound=10**4)
+    assert lattices._EMBED_HEIGHT == 10
+    assert embed_form(Form(2, 2, 3)) is None
+
+
 def embed_form_oracle(form: Form, height_bound: int = 10) -> Lattice | None:
     """The (h, d, a, b) scan and quadratic solve that embed_form replaced."""
     delta = form.discriminant()
@@ -787,7 +797,8 @@ def _solve_second_generator(
 @example(2, 0, 3, 10)     # no embedding in the box
 @settings(max_examples=200)
 def test_embed_form_matches_oracle(m, k, n, height):
-    """The kernel search and the closed-form e2 give the oracle's exact basis.
+    """The kernel search and the closed-form e2 give the oracle's exact basis,
+    at every height up to the fixed one (the module constant is patched).
 
     Where the oracle tries e1 = 0 and divides by zero (m = 0), the new search
     must still return None or a lattice realizing the form.
@@ -795,7 +806,9 @@ def test_embed_form_matches_oracle(m, k, n, height):
     form = Form(m, k, n)
     if form.discriminant() == 0:
         return
-    lat = embed_form(form, height)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattices, "_EMBED_HEIGHT", height)
+        lat = embed_form(form)
     try:
         expected = embed_form_oracle(form, height)
     except ZeroDivisionError:
