@@ -70,7 +70,6 @@ from .forms import (
     Definiteness,
     Form,
     _row_solutions,
-    floor_sqrt_ratio,
 )
 from .pairings import PlusParams, Quadruple
 
@@ -126,10 +125,10 @@ def minus_minus_bounds(form: Form) -> tuple[int, int, int, int]:
     m, k, n = form.coefficients()
     absd = -form.discriminant()
     return (
-        floor_sqrt_ratio(4 * m * m * n, absd),
-        floor_sqrt_ratio(4 * n * n * n, absd),
-        floor_sqrt_ratio(4 * m * n * n, absd),
-        floor_sqrt_ratio(4 * m * m * m, absd),
+        isqrt(4 * m * m * n // absd),
+        isqrt(4 * n * n * n // absd),
+        isqrt(4 * m * n * n // absd),
+        isqrt(4 * m * m * m // absd),
     )
 
 

@@ -177,7 +177,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    # checked first: with no samples, curve_sample never validates the form
+    # checked first: the step divides by --samples, and every theta is built
+    # in memory before curve_sample checks the form
     if args.samples < 1:
         return _fail("--samples must be at least 1", 2)
     if args.samples > MAX_CURVE_SAMPLES:

@@ -3,9 +3,11 @@
 For m > 0 and n > 0, theta sweeps out embeddings (alpha, beta, gamma, delta)
 realizing the form over the reals, using circular functions in the definite
 case and hyperbolic ones in the indefinite case; each embedding induces a
-minus-minus quadruple (a, b, c, d).  Definite points agree with the exact
-bounds of classify.minus_minus_bounds, proved there without the curve, which
-serves plotting and cross-checks; nothing exact depends on it.
+minus-minus quadruple (a, b, c, d).  Each call checks the form and derives the
+curve once, before its first point; a form with |disc|, k, m, n or 4mn past
+floating point is refused.  Definite points agree with the exact bounds of
+classify.minus_minus_bounds, proved there without the curve, which serves
+plotting and cross-checks; nothing exact depends on it.
 """
 
 from __future__ import annotations
@@ -51,63 +53,60 @@ class EmbeddingMatrix:
         )
 
 
-def _curve_context(form: Form) -> tuple[float, int, float]:
-    """(phase, eps, sqrt(|disc|)) of the witness curve.  The phase,
-    acos(k / sqrt(4mn)) or acosh(|k| / sqrt(4mn)), is taken as
+def _curve(form: Form, branch: int):
+    """(phase, at) of the witness curve, where at(theta) is its embedding.
+
+    The phase, acos(k / sqrt(4mn)) or acosh(|k| / sqrt(4mn)), is taken as
     atan2(sqrt(|disc|), k) and asinh(sqrt(disc) / sqrt(4mn)) from the exact
-    integer discriminant, so no digits cancel when |disc| is small against 4mn."""
+    integer discriminant, so no digits cancel when |disc| is small against 4mn.
+    cosh is even, so a hyperbolic phase cannot carry the sign of k; for an
+    indefinite form with k < 0 the curve negates beta and delta instead.
+
+    w = alpha delta - beta gamma comes from the exact discriminant, not from a
+    cancellation.  Any real embedding has (alpha^2 + eps gamma^2)(beta^2 + eps
+    delta^2) - (alpha beta + eps gamma delta)^2 = eps w^2, that is mn - k^2/4
+    = eps w^2, so w^2 = |disc|/4.  On the curve w = sqrt(mn) sin(phase) or
+    sigma sqrt(mn) sinh(phase) at every theta (sigma = -1 where beta and delta
+    are negated; the branch sign cancels), and the phase has the sign of k in
+    (-pi, pi) or is positive, so w is sqrt(|disc|)/2, negated when k < 0.
+    """
     kind = form.definiteness()
     if kind is Definiteness.DEGENERATE:
         raise DegenerateFormError("the witness curve needs a nondegenerate form")
     m, k, n = form.coefficients()
     if m <= 0 or n <= 0:
         raise ValueError("the witness curve needs m > 0 and n > 0")
-    disc = form.discriminant()
+    sign = 1 if branch >= 0 else -1
     try:
-        root = math.sqrt(abs(disc))
+        root = math.sqrt(abs(form.discriminant()))
         if kind is Definiteness.POSITIVE_DEFINITE:
-            phase = math.atan2(root, k)
-            return (-phase if k < 0 else phase), 1, root
-        return math.asinh(root / math.sqrt(4 * m * n)), -1, root
+            phase, eps, s, c = math.atan2(root, k), 1, math.sin, math.cos
+            phase = -phase if k < 0 else phase
+        else:
+            phase = math.asinh(root / math.sqrt(4 * m * n))
+            eps, s, c = -1, math.sinh, math.cosh
+        sm = sign * math.sqrt(m)
+        sn = sign * math.sqrt(n) * (-1 if eps == -1 and k < 0 else 1)
     except OverflowError:
         raise ValueError("the coefficients are too large for the "
                          "floating-point witness curve") from None
+    w = (-root if k < 0 else root) / 2
+
+    def at(theta: float) -> EmbeddingMatrix:
+        return EmbeddingMatrix(sm * c(theta), sn * c(theta + phase), sm * s(theta),
+                               sn * s(theta + phase), eps, w)
+
+    return phase, at
 
 
 def curve_phase(form: Form) -> float:
     """The phase offset of the witness curve."""
-    return _curve_context(form)[0]
+    return _curve(form, 1)[0]
 
 
 def curve_embedding(form: Form, theta: float, branch: int = 1) -> EmbeddingMatrix:
-    """Point (alpha, beta, gamma, delta) of the real embedding curve.
-
-    cosh is even, so a hyperbolic phase cannot carry the sign of k; for an
-    indefinite form with k < 0 the curve negates beta and delta instead.
-
-    w = alpha delta - beta gamma is read off the exact discriminant, not
-    computed by a cancellation.  Every real embedding of (m, k, n) has
-    (alpha^2 + eps gamma^2)(beta^2 + eps delta^2) - (alpha beta + eps gamma
-    delta)^2 = eps w^2, that is mn - k^2/4 = eps w^2, so w^2 = |disc|/4.  On
-    the curve w = sqrt(mn) sin(phase) or sigma sqrt(mn) sinh(phase) at every
-    theta (sigma = -1 where beta and delta are negated; the branch sign
-    cancels), and the phase has the sign of k in (-pi, pi) or is positive, so
-    w is -sqrt(|disc|)/2 when k < 0 and +sqrt(|disc|)/2 otherwise.
-    """
-    phase, eps, root = _curve_context(form)
-    s, c = (math.sin, math.cos) if eps == 1 else (math.sinh, math.cosh)
-    m, k, n = form.coefficients()
-    sign = 1 if branch >= 0 else -1
-    sm = sign * math.sqrt(m)
-    sn = sign * math.sqrt(n) * (-1 if eps == -1 and k < 0 else 1)
-    return EmbeddingMatrix(
-        alpha=sm * c(theta),
-        beta=sn * c(theta + phase),
-        gamma=sm * s(theta),
-        delta=sn * s(theta + phase),
-        eps=eps,
-        w=(-root if k < 0 else root) / 2,
-    )
+    """Point (alpha, beta, gamma, delta) of the real embedding curve."""
+    return _curve(form, branch)[1](theta)
 
 
 def embedding_to_quadruple(emb: EmbeddingMatrix) -> tuple[float, float, float, float]:
@@ -129,10 +128,11 @@ def curve_quadruple(
 
 def curve_sample(form: Form, thetas, branch: int = 1) -> list[CurvePoint]:
     """Evaluate the witness curve at the given parameter values."""
+    at = _curve(form, branch)[1]
     points = []
     for theta in thetas:
         try:
-            quad = curve_quadruple(form, theta, branch)
+            quad = embedding_to_quadruple(at(theta))
         except OverflowError:  # cosh or sinh past |theta| of about 710
             quad = (math.inf,)
         if not all(map(math.isfinite, quad)):

@@ -169,11 +169,6 @@ def exact_sqrt(x: int | Fraction) -> int | Fraction | None:
     return root if root * root == x else None
 
 
-def floor_sqrt_ratio(p: int, q: int) -> int:
-    """floor(sqrt(p / q)) for p >= 0 < q, exactly."""
-    return isqrt(p * q) // q
-
-
 class DegenerateFormError(ValueError):
     """Raised when an operation needs a nonzero discriminant."""
 

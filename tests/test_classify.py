@@ -12,6 +12,7 @@ import pytest
 from normed_forms import (
     TYPE_MM,
     Context,
+    CurvePoint,
     Decision,
     DegenerateFormError,
     Definiteness,
@@ -53,6 +54,24 @@ def test_minus_minus_bounds_values():
     assert minus_minus_bounds(Form(4, 2, 6)) == (2, 3, 2, 1)
     assert minus_minus_bounds(Form(2, 1, 3)) == (1, 2, 1, 1)
     assert minus_minus_bounds(Form(1, 0, 1)) == (1, 1, 1, 1)
+
+
+@st.composite
+def positive_definite_forms(draw, size=10**20):
+    m, n = draw(st.integers(1, size)), draw(st.integers(1, size))
+    kmax = isqrt(4 * m * n - 1)
+    return Form(m, draw(st.integers(-kmax, kmax)), n)
+
+
+@given(positive_definite_forms())
+def test_minus_minus_bounds_are_floor_square_roots(form):
+    """Each bound b is floor(sqrt(4 p / |disc|)) for its p = m^2 n, n^3, m n^2
+    or m^3: b^2 |disc| <= 4 p < (b + 1)^2 |disc|."""
+    m, n = form.m, form.n
+    absd = -form.discriminant()
+    for b, p in zip(minus_minus_bounds(form), (m * m * n, n**3, m * n * n, m**3)):
+        assert b >= 0
+        assert b * b * absd <= 4 * p < (b + 1) * (b + 1) * absd
 
 
 def test_minus_minus_bounds_require_definite():
@@ -339,25 +358,48 @@ def test_curve_minus_branch_negates():
         assert close(getattr(minus, field), -getattr(plus, field))
 
 
+# (1, 0, 1) in a far basis: disc = -4 and k has 201 digits, but m has 401
+FAR_BASIS = Form(1, 0, 1).transform(((10**200, 1), (10**200 - 1, 1)))
+
+
 def test_curve_rejects_unusable_forms():
-    """m > 0, n > 0, nondegeneracy and floating-point range are required."""
-    with pytest.raises(ValueError):
-        curve_sample(Form(0, 1, 5), [0.0])
-    with pytest.raises(ValueError):
-        curve_sample(Form(-1, 0, -1), [0.0])
-    with pytest.raises(DegenerateFormError):
-        curve_sample(Form(1, 2, 1), [0.0])
-    # the discriminant of (1, 10^300, 1) is about 10^600, past any float
-    for form in (Form(1, 0, 10**400), Form(1, 10**400, 1), Form(1, 10**300, 1)):
-        with pytest.raises(ValueError, match="too large"):
-            curve_phase(form)
-        with pytest.raises(ValueError, match="too large"):
-            curve_embedding(form, 0.0)
+    """m > 0, n > 0, nondegeneracy and floating-point range are required, and
+    checked before the first point, so a call with no theta raises too."""
+    for thetas in ([0.0], []):
+        with pytest.raises(ValueError):
+            curve_sample(Form(0, 1, 5), thetas)
+        with pytest.raises(ValueError):
+            curve_sample(Form(-1, 0, -1), thetas)
+        with pytest.raises(DegenerateFormError):
+            curve_sample(Form(1, 2, 1), thetas)
+    # the discriminant of (1, 10^300, 1) is about 10^600, past any float;
+    # sqrt(m) of FAR_BASIS is too, though its phase is not
+    for form in (Form(1, 0, 10**400), Form(1, 10**400, 1), Form(1, 10**300, 1), FAR_BASIS):
+        for call in (lambda: curve_phase(form), lambda: curve_embedding(form, 0.0),
+                     lambda: curve_quadruple(form, 0.0), lambda: curve_sample(form, [0.0]),
+                     lambda: curve_sample(form, [])):
+            with pytest.raises(ValueError, match="too large"):
+                call()
     # overflow is the only way out of the float range: the points of
     # (1, 3, 1) pass 10^308 at theta = 236
     for theta in (236.0, 1000.0):
         with pytest.raises(ValueError, match="floating-point range"):
             curve_sample(Form(1, 3, 1), [theta])
+
+
+@pytest.mark.parametrize("coeffs, name", [((4, 2, 6), "atan2"), ((1, 3, 1), "asinh")])
+def test_curve_sample_derives_the_curve_once(monkeypatch, coeffs, name):
+    """1,000 points take one phase: the curve is derived once per call."""
+    calls = []
+    phase_fn = getattr(math, name)
+
+    def counted(*args):
+        calls.append(args)
+        return phase_fn(*args)
+
+    monkeypatch.setattr(math, name, counted)
+    points = curve_sample(Form(*coeffs), [i / 1000 for i in range(1000)])
+    assert len(points) == 1000 and len(calls) == 1
 
 
 def assert_solves_witness_equations(form, pt, rel=1e-12):
@@ -385,6 +427,19 @@ def test_curve_keeps_points_where_alpha_delta_and_beta_gamma_cancel():
 
 CURVE_FORMS = [(4, 2, 6), (2, 1, 3), (1, 0, 1), (3, -1, 5), (1, 3, 1), (2, 5, 1),
                (1, -3, 1), (2, -5, 1)]
+
+
+@given(
+    st.sampled_from(CURVE_FORMS),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    st.sampled_from([1, -1]),
+)
+@settings(max_examples=120)
+def test_curve_sample_points_are_curve_quadruples(coeffs, theta, branch):
+    """A sampled point equals curve_quadruple's, the one route to a point."""
+    f = Form(*coeffs)
+    (pt,) = curve_sample(f, [theta], branch)
+    assert pt == CurvePoint(theta, *curve_quadruple(f, theta, branch))
 
 
 @given(

@@ -170,7 +170,9 @@ def test_curve_minus_branch(capsys):
 
 def test_curve_rejects_zero_sides(capsys):
     """m n = 0, a negative side, a degenerate form, no samples or too many,
-    coefficients beyond floating point or a non-finite theta window exit 2."""
+    coefficients beyond floating point (also (1, 0, 1) in a basis with
+    201-digit entries, whose 401-digit m has no float square root) or a
+    non-finite theta window exit 2."""
     code, _, err = run(capsys, ["curve", "0", "1", "5"])
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, ["curve", "1", "2", "1"])
@@ -187,6 +189,10 @@ def test_curve_rejects_zero_sides(capsys):
         code, out, err = run(capsys, ["curve", *argv])
         assert code == 2 and out == ""
         assert err.startswith("error:")
+    far_basis = Form(1, 0, 1).transform(((10**200, 1), (10**200 - 1, 1)))
+    code, out, err = run(capsys, ["curve", *map(str, far_basis.coefficients()), "--samples", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: the coefficients are too large for the floating-point witness curve\n"
 
 
 def test_curve_far_windows(capsys):

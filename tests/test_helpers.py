@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pytest
 
 from normed_forms import Pairing
-from normed_forms.forms import exact_sqrt, ext_gcd, floor_sqrt_ratio, hnf_rows, is_scalar
+from normed_forms.forms import exact_sqrt, ext_gcd, hnf_rows, is_scalar
 
 ints = st.integers(-10**6, 10**6)
 small = st.integers(-20, 20)
@@ -130,13 +130,6 @@ def test_exact_sqrt_fixed_values():
     assert exact_sqrt(Fraction(-9, 4)) is None
     assert exact_sqrt(10**40 + 1) is None
     assert exact_sqrt(Fraction(10**40, 9)) == Fraction(10**20, 3)
-
-
-@given(st.integers(0, 10**30), st.integers(1, 10**15))
-def test_floor_sqrt_ratio(p, q):
-    r = floor_sqrt_ratio(p, q)
-    assert r >= 0
-    assert r * r * q <= p < (r + 1) * (r + 1) * q
 
 
 @given(mat2)

@@ -34,7 +34,6 @@ from normed_forms.forms import (
     _nonresidue_primes,
     _row_solutions,
     _square,
-    floor_sqrt_ratio,
 )
 from normed_forms.lattices import Context, Lattice
 
@@ -71,10 +70,12 @@ def represent_oracle(form: Form, target: int, box_bound: int):
 def _ellipse_bounds(form: Form, disc: int, target: int) -> tuple[range, int]:
     """The rows x2 <= 0 and the column bound |x1| of the ellipse form = target.
 
-    For a definite form of discriminant disc with m*target >= 0.
+    For a definite form of discriminant disc with m*target >= 0.  Each bound
+    is floor(sqrt(p / q)) taken as isqrt(p q) // q, not the library's
+    isqrt(p // q), so the oracle stays independent.
     """
-    rows = range(-floor_sqrt_ratio(4 * form.m * target, -disc), 1)
-    return rows, floor_sqrt_ratio(4 * form.n * target, -disc)
+    rows = range(-(isqrt(4 * form.m * target * -disc) // -disc), 1)
+    return rows, isqrt(4 * form.n * target * -disc) // -disc
 
 
 def definite_represent_oracle(form: Form, target: int):
