@@ -14,7 +14,7 @@ Eliminating b and d makes that search linear in the box size:
              = (a^2 - c d)(c^2 - a b) = m n,
 
 so (c, -a) represents m n by f itself: one exact row solve per a finds every
-candidate (a, c), and divisibility completes b and d.
+candidate (a, c), and one exact rule (_scan_quadruples) completes b and d.
 
 For positive definite forms both searches are complete: representation by a
 definite form is a finite ellipse problem, and every minus-minus witness
@@ -148,9 +148,13 @@ def _scan_quadruples(
 ) -> list[Quadruple]:
     """All quadruples inside the box solving the three witness equations.
 
-    Only (a, c) with f(c, -a) = m n are visited (module docstring).  b and d
-    are determined by (a, c) except in zero cases, which are handled exactly;
-    a nondegenerate form never leaves a free coordinate.
+    Only (a, c) with f(c, -a) = m n are visited (module docstring).  One rule
+    completes (a, c) != (0, 0): d = (a^2 - m) // c if c != 0, b = (c^2 - n) // a
+    if a != 0, and k = a c - b d gives the missing one.  Floor division is safe:
+    a witness divides exactly, so it gets its own b and d back, and a wrong
+    quotient fails the three equations, which alone accept.  A witness makes no
+    divisor 0, as b = c = 0 or a = d = 0 would make the form degenerate.
+    (a, c) = (0, 0) forces m = n = 0; then b d = -k, one witness per divisor b.
     """
     m, k, n = form.coefficients()
     amax, bmax, cmax, dmax = bounds
@@ -158,42 +162,23 @@ def _scan_quadruples(
     for c, minus_a in _row_solutions(form, m * n, range(-amax, amax + 1), cmax):
         a = -minus_a
         if a == 0 and c == 0:
-            # forces m = n = 0; then b d = -k, one witness per divisor
-            if m == 0 and n == 0 and k != 0:
-                for b in range(-bmax, bmax + 1):
-                    if b == 0 or k % b:
-                        continue
-                    d = -(k // b)
-                    if abs(d) <= dmax:
-                        found.append(Quadruple(0, b, 0, d))
+            if m == 0 and n == 0:
+                found += [Quadruple(0, b, 0, -k // b) for b in range(-bmax, bmax + 1)
+                          if b and k % b == 0 and abs(k // b) <= dmax]
             continue
-        if c == 0:
-            # m = a^2, n = -a b, k = -b d
-            if a * a != m or n % a:
+        b = (c * c - n) // a if a else None
+        d = (a * a - m) // c if c else None
+        if b is None:
+            if d == 0:
                 continue
-            b = -(n // a)
-            if b == 0 or k % b:
+            b = (a * c - k) // d
+        elif d is None:
+            if b == 0:
                 continue
-            d = -(k // b)
-        elif a == 0:
-            # n = c^2, m = -c d, k = -b d
-            if c * c != n or m % c:
-                continue
-            d = -(m // c)
-            if d == 0 or k % d:
-                continue
-            b = -(k // d)
-        else:
-            if (a * a - m) % c or (c * c - n) % a:
-                continue
-            d = (a * a - m) // c
-            b = (c * c - n) // a
-            # f(c, -a) = m n now reduces to a c (a c - b d - k) = 0: k = a c - b d
-        if abs(b) > bmax or abs(d) > dmax:
-            continue
-        quad = Quadruple(a, b, c, d)
-        if quad.form() == form:
-            found.append(quad)
+            d = (a * c - k) // b
+        if (abs(b) <= bmax and abs(d) <= dmax and a * a - c * d == m
+                and a * c - b * d == k and c * c - a * b == n):
+            found.append(Quadruple(a, b, c, d))
     found.sort(key=lambda q: (q.a, q.b, q.c, q.d))
     return found
 

@@ -43,7 +43,8 @@ IDENTITY: Mat2 = ((1, 0), (0, 1))
 # The package's one search budget, in rows solved (about 0.8 s for one
 # indefinite search at the cap).  classify and cli import it as
 # MAX_CLASSIFY_BOX; Form.represent refuses a search, and semigroup_probe a
-# form, whose searches could solve more rows.
+# form, whose searches could solve more rows, and reduced_forms a
+# discriminant that needs more trials.
 MAX_SEARCH_ROWS = 10**6
 
 # a x1^2 + b x1 x2 + c x2^2 takes the values a, c and a + b + c here, so these
@@ -668,12 +669,20 @@ def reduced_forms(delta: int) -> list[Form]:
     """All primitive reduced positive definite forms of discriminant delta.
 
     Deterministic order: ascending |k|, then m, then sign of k (+ first).
+    Reduced forms have k^2 <= |delta|/3 and mn = (k^2 + |delta|)/4 <= |delta|/3,
+    so with K = isqrt(|delta| // 3) at most (K // 2 + 1)(K + 1) pairs (k, m) are
+    tried.  Over MAX_SEARCH_ROWS trials it raises ValueError before the first:
+    every |delta| <= 5,998,187 is admitted, and every larger one refused.
     """
     if delta >= 0 or not _is_discriminant(delta):
         raise ValueError("reduced-form enumeration requires a discriminant delta < 0")
+    root = isqrt(-delta // 3)
+    trials = (root // 2 + 1) * (root + 1)
+    if trials > MAX_SEARCH_ROWS:
+        raise ValueError(f"reduced-form enumeration would make {trials} trials, "
+                         f"more than {MAX_SEARCH_ROWS}")
     out: list[Form] = []
-    k = delta % 2
-    while k * k <= -delta // 3:
+    for k in range(delta % 2, root + 1, 2):
         # k = delta mod 2 gives k^2 = delta mod 4, so mn is an integer
         mn = (k * k - delta) // 4
         for m in range(max(k, 1), isqrt(mn) + 1):
@@ -685,5 +694,4 @@ def reduced_forms(delta: int) -> list[Form]:
             out.append(Form(m, k, n))
             if 0 < k < m < n:
                 out.append(Form(m, -k, n))
-        k += 2
     return out

@@ -364,15 +364,13 @@ def order_lattice(ctx: Context, delta_star: int) -> Lattice:
     Requires delta_star to generate the same quadratic extension as the
     context, i.e. ctx.delta / delta_star a positive rational square.
     """
-    if not _is_discriminant(delta_star):
-        raise ValueError("discriminant must be nonzero and 0 or 1 mod 4")
+    omega = Context(delta_star).order_generator()  # u + v tau_star = u + (v/s) tau
     ratio = Fraction(ctx.delta, delta_star)
     if ratio <= 0:
         raise ValueError("context mismatch: discriminants of opposite sign")
     s = exact_sqrt(ratio)  # tau = s * tau_star
     if s is None:
         raise ValueError("context mismatch: discriminant ratio is not a square")
-    omega = Context(delta_star).order_generator()  # u + v tau_star = u + (v/s) tau
     return Lattice(ctx, ctx.one(), ctx.elem(omega.u, omega.v / s))
 
 

@@ -671,12 +671,12 @@ def workflow_digest_pins() -> list[tuple[list[str], str]]:
 
 
 def test_workflow_digests_match_in_process_output(capsys):
-    """Every catalog and verify digest that CI pins equals the SHA-1 of the
-    same commands run in process, so CI and these tests cannot drift."""
+    """Every catalog, classify and verify digest that CI pins equals the SHA-1
+    of the same commands run in process, so CI and these tests cannot drift."""
     pins = workflow_digest_pins()
-    assert len(pins) >= 7
+    assert len(pins) >= 9
     assert {shlex.split(c)[1] for commands, _ in pins for c in commands} == {
-        "catalog", "verify"}
+        "catalog", "classify", "verify"}
     for commands, digest in pins:
         out = ""
         for command in commands:

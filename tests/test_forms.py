@@ -1,9 +1,9 @@
 """Tests for binary quadratic forms: evaluation, reduction, representation."""
 
 import time
-from math import isqrt
+from math import gcd, isqrt
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -216,6 +216,53 @@ def test_reduced_forms_are_reduced_primitive(delta):
         assert f.discriminant() == delta
         assert f.is_primitive()
         assert f.is_reduced()
+
+
+def reduced_forms_oracle(delta):
+    """The reduced-form loop as it was before its trial budget."""
+    out = []
+    k = delta % 2
+    while k * k <= -delta // 3:
+        mn = (k * k - delta) // 4
+        for m in range(max(k, 1), isqrt(mn) + 1):
+            if mn % m == 0 and gcd(m, k, mn // m) == 1:
+                out.append(Form(m, k, mn // m))
+                if 0 < k < m < mn // m:
+                    out.append(Form(m, -k, mn // m))
+        k += 2
+    return out
+
+
+@given(st.integers(-10**6, -3).filter(lambda d: d % 4 in (0, 1)))
+@settings(max_examples=20, deadline=None)
+@example(-999_999)
+@example(-10**6)
+@example(-3)
+def test_reduced_forms_match_the_unbudgeted_loop(delta):
+    """Inside the budget, which admits every |delta| <= 10**6, the lists are
+    those of the loop without a budget."""
+    assert reduced_forms(delta) == reduced_forms_oracle(delta)
+
+
+def test_reduced_forms_refuse_before_the_first_trial(monkeypatch):
+    """A discriminant over the trial budget is refused in closed form: only
+    the one square root that sizes the loop is taken, so no row is tried."""
+    roots = []
+
+    def spy(value):
+        roots.append(value)
+        return isqrt(value)
+
+    monkeypatch.setattr(forms, "isqrt", spy)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="reduced-form enumeration would make"):
+        reduced_forms(-10**20)
+    assert time.perf_counter() - start < 1.0
+    assert roots == [10**20 // 3]
+    # the largest admitted discriminant and the next one, refused
+    assert reduced_forms(-5_998_187) == reduced_forms_oracle(-5_998_187)
+    with pytest.raises(ValueError):
+        reduced_forms(-5_998_188)
 
 
 def test_represent_witnesses():

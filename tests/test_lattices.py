@@ -412,11 +412,14 @@ def test_ideal_membership_examples():
 
 
 def test_ideal_context_mismatch():
-    """A non-square discriminant ratio is a usage error."""
+    """A non-square discriminant ratio, or no discriminant, is a usage error."""
     with pytest.raises(ValueError):
         prime_over_two(ctx23()).is_ideal_of(-20)
     with pytest.raises(ValueError):
         order_lattice(ctx23(), -46)
+    for bad in (0, -5, 2):  # Context's error, so 0 is no ZeroDivisionError
+        with pytest.raises(ValueError, match="nonzero and 0 or 1 mod 4"):
+            order_lattice(ctx23(), bad)
 
 
 def test_order_lattices_inside_context():

@@ -6,7 +6,8 @@ double loop of the minus-minus scan, and the pair-by-pair semigroup probe.
 So does the kernel-based definite branch of Form.represent that the plain
 ellipse loop replaced.  The genus-character filter of the probe is checked
 against brute force too, and the squaring map behind the probe's class rules
-against the product of lattices.
+against the product of lattices.  A loop over all four coordinates of small
+minus-minus boxes checks the scan without any (a, c) reduction.
 """
 
 import time
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from normed_forms import (
@@ -286,6 +287,46 @@ def test_scan_matches_oracle_on_derived_forms(entries, box):
     else:
         bounds = (box,) * 4
     assert _scan_quadruples(form, bounds) == scan_oracle(form, bounds)
+
+
+def quadruple_oracle(form: Form, bounds):
+    """Every quadruple in the box, by a loop over all four coordinates: no
+    (a, c) reduction and no completion rule, so it checks both."""
+    amax, bmax, cmax, dmax = bounds
+    return [
+        Quadruple(a, b, c, d)
+        for a in range(-amax, amax + 1)
+        for b in range(-bmax, bmax + 1)
+        for c in range(-cmax, cmax + 1)
+        for d in range(-dmax, dmax + 1)
+        if Quadruple(a, b, c, d).form() == form
+    ]
+
+
+tiny = st.integers(min_value=-3, max_value=3)
+derived = st.builds(lambda *entries: Quadruple(*entries).form(), tiny, tiny, tiny, tiny)
+
+
+@given(st.one_of(derived, nondegenerate), st.integers(0, 3))
+@settings(max_examples=300)
+@example(Form(4, -3, -2), 3)  # c = 0: Quadruple(2, 1, 0, 3)
+@example(Form(2, 1, 4), 0)  # a = 0: Quadruple(0, 1, 2, -1)
+@example(Form(0, 3, 0), 3)  # the (a, c) = (0, 0) row: b d = -3
+@example(Form(2, -4, 3), 0)  # (a, c) = (2, -3): (a^2 - m) / c is inexact
+@example(Form(1, -2, 3), 0)  # (a, c) = (1, 0): d = (a c - k) / b is inexact
+def test_witnesses_match_four_coordinate_brute_force(form, box):
+    """minus_minus_witnesses lists exactly the quadruples of a full 4-D scan,
+    on definite forms whose minus_minus_bounds are all at most 3 and on
+    indefinite boxes of side at most 3."""
+    kind = form.definiteness()
+    assume(kind in (Definiteness.POSITIVE_DEFINITE, Definiteness.INDEFINITE))
+    if kind is Definiteness.POSITIVE_DEFINITE:
+        bounds = minus_minus_bounds(form)
+        assume(max(bounds) <= 3)
+    else:
+        bounds = (box,) * 4
+    hits, _ = minus_minus_witnesses(form, box)
+    assert hits == quadruple_oracle(form, bounds) == scan_oracle(form, bounds)
 
 
 @given(
