@@ -4,7 +4,10 @@
 For a form with m n != 0 the quadruples (a, b, c, d) deriving it sweep a
 one-parameter real curve: an ellipse pair for definite forms, hyperbolic
 branches otherwise.  Integer witnesses are exactly the integer points on
-the curve, which is what certifies the finite search box.  The script
+the curve.  The curve proves nothing: the finite search box of a definite
+form is proved without it, in the classify module docstring, and computed
+exactly by classify.minus_minus_bounds; the curve's extents only illustrate
+that box.  The script
 samples the curve for (4, 2, 6) and (2, 1, 3), locates the integer witness
 of the latter, shows how the sign of k enters an indefinite curve, and
 checks the embedding matrices that generate the curve.

@@ -395,9 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
         curve.add_argument(name, type=int)
     curve.add_argument("--samples", type=int, default=64,
                        help=f"grid points, 1 to {MAX_CURVE_SAMPLES}")
-    curve.add_argument("--theta-min", type=float, default=0.0)
+    curve.add_argument("--theta-min", type=float, default=0.0,
+                       help="default 0; write a negative value as --theta-min=-1e-3")
     curve.add_argument("--theta-max", type=float, default=None,
-                       help="default: one period (definite) or 2.0 (indefinite)")
+                       help="default: one period (definite) or 2.0 (indefinite); "
+                            "write a negative value as --theta-max=-1e-3")
     curve.add_argument("--branch", choices=("plus", "minus"), default="plus")
     curve.set_defaults(func=cmd_curve)
 

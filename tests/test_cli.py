@@ -151,6 +151,14 @@ def test_curve_theta_window(capsys):
     assert thetas == [1.0, 1.5, 2.0, 2.5]
 
 
+def test_curve_negative_theta_in_exponent_notation(capsys):
+    """In `--theta-min -1e-3` argparse takes `-1e-3` for an option; the `=`
+    form that the help states passes the value."""
+    code, out, err = run(capsys, ["curve", "1", "0", "1", "--theta-min=-1e-3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[0] == "-0.001"
+
+
 def test_curve_hyperbolic_comment(capsys):
     """Indefinite curves carry the hyperbolic comment line and 2.0 window."""
     code, out, _ = run(capsys, ["curve", "1", "3", "1", "--samples", "2"])

@@ -371,14 +371,21 @@ def test_semigroup_probe_refuses_a_hostile_form_at_once(monkeypatch):
 
 def test_semigroup_probe_refuses_a_huge_sample_before_building_it(monkeypatch):
     """A sample_bound over the budget is refused before the (2B + 1)^2 sample
-    points and their Counter exist; B = 200 would still be harmless to build."""
+    points and their Counter exist: the probe calls no range before its budget
+    check, and the sample's side is a range.  B = 200 would still be harmless to
+    build; B = 10^6 would take about 4 * 10^12 points."""
 
     def never(*args, **kwargs):
         raise AssertionError("the probe built its sample before checking its budget")
 
+    monkeypatch.setattr(forms, "range", never, raising=False)
     monkeypatch.setattr(forms, "Counter", never)
-    with pytest.raises(ValueError, match="semigroup probe could solve .* rows, more than"):
-        semigroup_probe(Form(1, 0, 1), sample_bound=200)
+    for bound in (200, 10**6):
+        with pytest.raises(ValueError, match="semigroup probe could solve .* rows, more than"):
+            semigroup_probe(Form(1, 0, 1), sample_bound=bound)
+    # the traps are live: an admitted bound reaches the sample
+    with pytest.raises(AssertionError, match="built its sample"):
+        semigroup_probe(Form(1, 0, 1), sample_bound=3)
 
 
 def probe_rows_oracle(form, sample_bound, search_bound):

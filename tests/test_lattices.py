@@ -9,6 +9,7 @@ criterion on the canonical basis.
 from fractions import Fraction
 from fractions import Fraction as Fr
 from math import gcd
+import operator
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,7 @@ def test_element_arithmetic():
     assert z.conj() * w == ctx.elem(44, 5)
     assert z + w == ctx.elem(-1, 3)
     assert z - w == ctx.elem(3, 1)
+    assert -z == ctx.elem(-1, -2)
     assert z / 2 == ctx.elem(Fr(1, 2), 1)
     assert 3 * z == z * 3 == ctx.elem(3, 6)
 
@@ -217,6 +219,31 @@ def test_hnf_rejects_rank_deficient_input():
         hnf_from_generators(ctx, [ctx.tau(), ctx.elem(0, 2)])
     with pytest.raises(ValueError):
         Lattice(ctx, ctx.one(), ctx.elem(2, 0))
+
+
+CTX4, CTX3 = Context(-4), Context(-3)
+ORDER4 = quadratic_order(-4)
+# (call, arguments, exception, message) for arguments that mix contexts or
+# are no lattice operand
+REFUSED = [
+    (operator.add, (CTX4.one(), CTX3.one()), ValueError, "elements from different contexts"),
+    (Lattice, (CTX4, CTX4.one(), CTX3.tau()), ValueError,
+     "generators from a different context"),
+    (ORDER4.contains, (CTX3.one(),), ValueError, "element from a different context"),
+    (ORDER4.scale, (0,), ValueError, "cannot scale a lattice by zero"),
+    (operator.mul, (ORDER4, 3), TypeError, "unsupported operand type"),
+    (operator.mul, (ORDER4, quadratic_order(-3)), ValueError,
+     "lattices from different contexts"),
+    (hnf_from_generators, (CTX4, []), ValueError, "no generators"),
+    (hnf_from_generators, (CTX4, [CTX4.one(), CTX3.tau()]), ValueError,
+     "generator from a different context"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, message", REFUSED)
+def test_mixed_contexts_and_bad_operands_raise(call, args, error, message):
+    with pytest.raises(error, match=message):
+        call(*args)
 
 
 def test_lattice_equality_is_basis_free():
@@ -417,6 +444,8 @@ def test_ideal_context_mismatch():
         prime_over_two(ctx23()).is_ideal_of(-20)
     with pytest.raises(ValueError):
         order_lattice(ctx23(), -46)
+    with pytest.raises(ValueError, match="discriminants of opposite sign"):
+        order_lattice(Context(-4), 5)
     for bad in (0, -5, 2):  # Context's error, so 0 is no ZeroDivisionError
         with pytest.raises(ValueError, match="nonzero and 0 or 1 mod 4"):
             order_lattice(ctx23(), bad)

@@ -63,6 +63,7 @@ def test_pairing_evaluation():
     """s(x, y) = (x A1 y, x A2 y) componentwise."""
     s = Pairing(((1, 0), (0, -5)), ((0, 1), (1, 0)))
     assert s((1, 2), (3, 4)) == (1 * 3 - 5 * 2 * 4, 1 * 4 + 2 * 3)
+    assert (-s)((1, 2), (3, 4)) == (5 * 2 * 4 - 1 * 3, -1 * 4 - 2 * 3)
 
 
 def test_make_plus_brahmagupta():

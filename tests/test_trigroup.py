@@ -1,5 +1,7 @@
 """Tests for the triple bracket and its anchored pairings."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -62,6 +64,13 @@ def test_bracket_multiplicative_on_spot():
     g = Form(2, 1, 3)
     x, y, e = (1, 2), (3, -1), (0, 1)
     assert g(bracket(g, x, y, e)) == g(x) * g(y) * g(e)
+
+
+def test_bracket_refuses_an_odd_doubled_value():
+    """A non-integer input can make the doubled bracket odd: for (1, 0, 0) at
+    x = (1/2, 0), y = e = (1, 0) its first entry is 1."""
+    with pytest.raises(ArithmeticError, match="bracket halving failed"):
+        bracket(Form(1, 0, 0), (Fraction(1, 2), 0), (1, 0), (1, 0))
 
 
 @given(coeff, coeff, coeff, vec, vec, vec)
