@@ -264,7 +264,7 @@ def _catalog_record(delta: int, form: Form,
     else:
         orbit = (min(form.m, form.n), abs(form.k), max(form.m, form.n))
         if orbit not in probes:
-            probe = semigroup_probe(form, max_recorded=0)
+            probe = semigroup_probe(form)
             probes[orbit] = probe.decided, probe.counterexample_count
         decided, count = probes[orbit]
     return _decimal({

@@ -32,7 +32,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import gcd, isqrt, prod
 
 Vec2 = tuple[int, int]
@@ -387,21 +387,24 @@ def _row_solutions(form: Form, target: int, rows: range, col_bound: int) -> Iter
                 yield (numer // two_m, x2)
 
 
+# semigroup_probe's sample box |xi| <= 3 and indefinite search box
+# |xi| <= 100: the boxes behind every pinned catalog digest.
+_PROBE_SAMPLE = 3
+_PROBE_SEARCH = 100
+
+
 @dataclass(frozen=True)
 class SemigroupReport:
     """Outcome of sampling the semigroup property f(x)f(y) in f(Z^2)."""
 
     form: Form
-    sample_bound: int
-    search_bound: int
     pairs_checked: int
     products_checked: int
     counterexample_count: int
-    counterexamples: tuple[tuple[Vec2, Vec2], ...]
     decided: bool
 
 
-def _probe_cap(search: Form, search_bound: int, values: int, top: int) -> int:
+def _probe_cap(search: Form, values: int, top: int) -> int:
     """The row cap of one semigroup_probe search on search, for a sample of
     that many distinct values with largest value top (read on definite forms
     only); or ValueError when the searches could solve more than
@@ -417,7 +420,7 @@ def _probe_cap(search: Form, search_bound: int, values: int, top: int) -> int:
     # the larger of f(1, 0) and f(0, 1).  The trial divisions of
     # _nonresidue_primes and _is_prime stop below cap as well.
     disc = search.discriminant()
-    cap = isqrt(4 * search.m * top * top // -disc) + 1 if disc < 0 else search_bound + 1
+    cap = isqrt(4 * search.m * top * top // -disc) + 1 if disc < 0 else _PROBE_SEARCH + 1
     rows = (values * (values + 1) // 2 + 2 * values) * cap
     if rows > MAX_SEARCH_ROWS:
         raise ValueError(f"the semigroup probe could solve {rows} rows, "
@@ -425,18 +428,16 @@ def _probe_cap(search: Form, search_bound: int, values: int, top: int) -> int:
     return cap
 
 
-def semigroup_probe(form: Form, sample_bound: int = 3,
-                    search_bound: int = 100,
-                    max_recorded: int = 20) -> SemigroupReport:
+def semigroup_probe(form: Form) -> SemigroupReport:
     """Probe whether every product f(x)f(y) is itself a value of f.
 
-    Samples all pairs x, y in the box |xi| <= sample_bound.  For definite
-    forms the inner representability search is exact, so each recorded
-    counterexample pair is a proof that the form lacks the semigroup
-    property; for indefinite forms the report is advisory only (decided is
-    False).  ValueError, before any search, when the searches could solve
-    more than MAX_SEARCH_ROWS rows in all; a sample_bound too large for the
-    budget is refused before the sample is built.
+    Samples all pairs x, y in the box |xi| <= 3 and counts those whose
+    product is not a value.  For definite forms the inner representability
+    search is exact, so a nonzero count proves that the form lacks the
+    semigroup property; for indefinite forms the search covers
+    |xi| <= 100 and the report is advisory only (decided is False).
+    ValueError, before any search, when the searches could solve more than
+    MAX_SEARCH_ROWS rows in all.
 
     Most products are decided without a search.  0 is a closed value.  The
     genus rule: take an odd prime p | D (D the discriminant) with e = v_p(D)
@@ -506,17 +507,16 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     (29, 24, 5), which is (1, 0, 1) in another basis, is probed within the
     budget below.  A reduced form, every catalog form among them, is c*g
     already; it is searched as it is, as rebuilding it cost the -400..-3
-    catalog's probes 3% of their time.  An indefinite form only
-    needs to know whether some |x1|, |x2| <= search_bound solves f = t, not
-    the lexicographically first witness that represent returns from
-    x2 = -search_bound upwards, so it runs the same row kernel
-    (_row_solutions) over the same half box x2 in [-search_bound, 0] in the
-    other order, outward from x2 = 0, and stops at the first solution.  The
-    answer is represent's: f(-v) = f(v), so the half box takes every value
-    of the full box, and only the order of the rows changes.  Solutions lie
-    near x2 = 0 far more often than near the edge of the box: the 558
-    searches of a 5..8 catalog at box 6 solve 22,368 rows from the edge and
-    2,783 outward.
+    catalog's probes 3% of their time.  An indefinite form only needs to
+    know whether some |x1|, |x2| <= 100 solves f = t, not the
+    lexicographically first witness that represent returns from x2 = -100
+    upwards, so it runs the same row kernel (_row_solutions) over the same
+    half box x2 in [-100, 0] in the other order, outward from x2 = 0, and
+    stops at the first solution.  The answer is represent's: f(-v) = f(v),
+    so the half box takes every value of the full box, and only the order
+    of the rows changes.  Solutions lie near x2 = 0 far more often than
+    near the edge of the box: the 558 searches of a 5..8 catalog at box 6
+    solve 22,368 rows from the edge and 2,783 outward.
     """
     disc = form.discriminant()
     if disc == 0:
@@ -525,13 +525,7 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     if disc < 0 < form.m and not form.is_reduced():
         c, primitive = form.content_and_primitive()
         search = Form(*(c * e for e in primitive.reduce()[0].coefficients()))
-    # Lower bounds first, so an oversized sample is never built: the sample
-    # has at least B + 1 distinct values (m x^2 for x = 0..B, or n y^2 when
-    # m = 0, or k x y when m = n = 0), and a positive definite form's largest
-    # value is at least m B^2 (a negative definite form's top below is 0).
-    _probe_cap(search, search_bound, max(sample_bound + 1, 0),
-               max(form.m, 0) * sample_bound ** 2)
-    side = range(-sample_bound, sample_bound + 1)
+    side = range(-_PROBE_SAMPLE, _PROBE_SAMPLE + 1)
     points = [(x1, x2) for x1 in side for x2 in side]
     # f(x)f(y) depends only on the two values, so each unordered pair of
     # distinct values is tested once and stands for mult*mult ordered pairs
@@ -539,7 +533,7 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     # definite: products of two values are >= 0; the largest m*t takes the
     # most rows
     top = max(mult, key=lambda u: search.m * u * u, default=0)
-    cap = _probe_cap(search, search_bound, len(mult), top)
+    cap = _probe_cap(search, len(mult), top)
     ramified = _nonresidue_primes(form, disc, cap)
     modulus = prod(p ** e for p, e in ramified)
     representable: dict[int, bool] = {}
@@ -547,7 +541,7 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
     closed = {0}  # 0 * v = f(0, 0)
     excluded: set[int] = set()
     ordered: list[int] = []
-    outward = range(0, -search_bound - 1, -1)
+    outward = range(0, -_PROBE_SEARCH - 1, -1)
     if any(e % 2 for _, e in ramified):
         # the genus rule with an odd e: no nonzero product is a value
         representable = {u * v: u * v == 0
@@ -574,23 +568,17 @@ def semigroup_probe(form: Form, sample_bound: int = 3,
                                or t % 9 == 0 and representable.get(t // 9)):
                 found = True  # square scaling
             elif disc < 0:
-                found = search.represent(t, search_bound) is not None
+                found = search.represent(t, _PROBE_SEARCH) is not None
             else:  # outward from x2 = 0 (see the docstring)
-                found = next(_row_solutions(form, t, outward, search_bound), None) is not None
+                found = next(_row_solutions(form, t, outward, _PROBE_SEARCH), None) is not None
             representable[t] = found
         if not found:
             count += mult[u] * mult[v] * (1 if u == v else 2)
-    misses = ((x, y) for x in points for y in points
-              if not representable[form(x) * form(y)])
-    recorded = tuple(islice(misses, max(min(count, max_recorded), 0)))
     return SemigroupReport(
         form=form,
-        sample_bound=sample_bound,
-        search_bound=search_bound,
         pairs_checked=len(points) ** 2,
         products_checked=len(representable),
         counterexample_count=count,
-        counterexamples=recorded,
         decided=disc < 0,
     )
 
