@@ -41,7 +41,7 @@ from math import gcd, lcm
 
 from .forms import (DegenerateFormError, Definiteness, Form, _coupling_stable,
                     _is_discriminant, _row_solutions, coupling, exact_sqrt, hnf_rows)
-from .matembed import Sublattice
+from .matembed import Sublattice, adjugate
 
 Rational = int | Fraction
 
@@ -255,7 +255,11 @@ class Lattice:
         Zr, so r^2 in L makes r an integer, and zeta^2 = t zeta - norm(zeta)
         (k = 1) or r conj(zeta) = t r - r zeta (k = 2, 3, 4) in L makes t one.
         """
-        return _basis_stable(self.canonical_basis(), k)
+        basis = self.canonical_basis()
+        r, t = basis.r, basis.zeta.trace()
+        # the helper first, so that a bad k raises whatever r and t are
+        return (_coupling_stable(r, t, basis.zeta.norm(), k)
+                and r.denominator == 1 and t.denominator == 1)
 
     def conjugate(self) -> "Lattice":
         return hnf_from_generators(self.ctx, [self.e1.conj(), self.e2.conj()])
@@ -300,29 +304,25 @@ class Lattice:
     def matrix_embedding(self, k: int) -> Sublattice:
         """The matrix model of a sigma_k-stable integer-normed lattice.
 
-        In the canonical basis (r, zeta), multiplication by zeta (k = 1) or by
-        conj(zeta) (k = 2, 3) acts by an integer matrix A with the trace and
-        norm of zeta as trace and determinant, so
-        det(x1 A + x2 rE) = norm(x1 zeta + x2 r); returns Sublattice(A, r).
-        Refuses a lattice that is not integer-normed, then one that is not
-        stable_under(k) (forms._coupling_stable), the criterion
-        matembed.check_stability applies to A.
+        In the canonical basis (r, zeta), multiplication by zeta acts by an
+        integer matrix A with the trace and norm of zeta as trace and
+        determinant, so det(x1 A + x2 rE) = norm(x1 zeta + x2 r), and
+        conj(zeta) = trace(zeta) - zeta by adj(A); returns Sublattice(A, r)
+        for k = 1, Sublattice(adj(A), r) for k = 2, 3.  Refuses a lattice
+        that is not integer-normed, then one that is not stable_under(k),
+        the criterion matembed.check_stability applies to the matrix.
         """
         if k not in (1, 2, 3):
             raise ValueError("matrix model exists for couplings 1..3")
         if not self.is_integer_normed():
             raise ValueError("lattice is not integer-normed")
-        basis = self.canonical_basis()
-        if not _basis_stable(basis, k):
+        if not self.stable_under(k):
             raise ValueError("lattice is not stable under the requested coupling")
+        basis = self.canonical_basis()
         rr, t, nm = int(basis.r), int(basis.zeta.trace()), int(basis.zeta.norm())
-        if k == 1:
-            # columns: zeta * r = (0, r), zeta^2 = t zeta - nm
-            a = ((0, -nm // rr), (rr, t))
-        else:
-            # columns: conj(zeta) * r = (t r, -r), conj(zeta) zeta = nm
-            a = ((t, nm // rr), (-rr, 0))
-        return Sublattice(a, rr)
+        # columns: zeta * r = (0, r), zeta^2 = t zeta - nm
+        a = ((0, -nm // rr), (rr, t))
+        return Sublattice(a if k == 1 else adjugate(a), rr)
 
 
 @dataclass(frozen=True)
@@ -331,14 +331,6 @@ class CanonicalBasis:
 
     r: Fraction
     zeta: QuadElem
-
-
-def _basis_stable(basis: CanonicalBasis, k: int) -> bool:
-    """Lattice.stable_under on a canonical basis computed once."""
-    r, t = basis.r, basis.zeta.trace()
-    # the helper first, so that a bad k raises whatever r and t are
-    return (_coupling_stable(r, t, basis.zeta.norm(), k)
-            and r.denominator == 1 and t.denominator == 1)
 
 
 def hnf_from_generators(ctx: Context, gens) -> Lattice:

@@ -12,7 +12,8 @@ families below realize every combination of signs:
 
 * the plus families (variants 1, 2, 3, types (+,+), (-,+), (+,-)) take a form
   (m, k, n) and a base point (p, q), and are normed for r*(m, k, n) with
-  r = m p^2 + k p q + n q^2;
+  r = m p^2 + k p q + n q^2, and variant 3 is variant 2 mirrored: (-,+) and
+  (+,-) are one family read both ways;
 * the minus-minus family takes an arbitrary integer quadruple (a, b, c, d)
   and is normed for (a^2 - c d, a c - b d, c^2 - a b).
 
@@ -154,19 +155,20 @@ def make_plus(variant: int, params: PlusParams) -> tuple[Pairing, Form]:
     """One of the three plus-type pairing families and its normed form.
 
     Variant 1 has type (+,+), variant 2 type (-,+), variant 3 type (+,-).
-    The normed form is r*(m, k, n) with r = params.r; the pairing matrices
-    are integral for every integer parameter choice.
+    Variant 3 is variant 2 mirrored, s3(x, y) = s2(y, x), so its matrices
+    are variant 2's transposed: (-,+) and (+,-) are one family read both
+    ways.  The normed form is r*(m, k, n) with r = params.r; the pairing
+    matrices are integral for every integer parameter choice.
     """
     m, k, n, p, q = params.m, params.k, params.n, params.p, params.q
     if variant == 1:
         a1: Mat2 = ((m * p + k * q, n * q), (n * q, -n * p))
         a2: Mat2 = ((-m * q, m * p), (m * p, n * q + k * p))
-    elif variant == 2:
+    elif variant in (2, 3):
         a1 = ((m * p, -n * q), (n * q + k * p, n * p))
         a2 = ((m * q, m * p + k * q), (-m * p, n * q))
-    elif variant == 3:
-        a1 = ((m * p, n * q + k * p), (-n * q, n * p))
-        a2 = ((m * q, -m * p), (m * p + k * q, n * q))
+        if variant == 3:
+            a1, a2 = tuple(zip(*a1)), tuple(zip(*a2))
     else:
         raise ValueError("variant must be 1, 2 or 3")
     r = params.r

@@ -631,6 +631,29 @@ def test_window_probe_agrees_with_witness():
         assert (count == 0) == report.has_witness, report.form
 
 
+def test_window_first_prime_value_certifies():
+    """ROADMAP item 1's certificate on -400..-3, the oracle for a certificate
+    in the library: order the points |xi| <= 12 by |x1| + |x2|, then by
+    (x1, x2), and take the first prime value p with p not dividing Delta.
+    Such a p exists with p^2 not a value of f, which proves (x, x) a
+    counterexample, exactly for the 800 forms without a witness."""
+    box = range(-12, 13)
+    points = sorted(((x1, x2) for x1 in box for x2 in box),
+                    key=lambda x: (abs(x[0]) + abs(x[1]), x))
+    certified = latest = 0
+    for report, _ in _negative_window():
+        form, disc = report.form, report.form.discriminant()
+        values = ((i, form(x)) for i, x in enumerate(points))
+        index, p = next(((i, v) for i, v in values if forms._is_prime(v) and disc % v),
+                        (None, None))
+        found = p is not None and form.represent(p * p) is None
+        assert found == (not report.has_witness), form
+        if found:
+            certified += 1
+            latest = max(latest, index)
+    assert (certified, latest) == (800, 97)
+
+
 def test_window_order3_coincidence():
     """On -400..-3 three properties coincide: a minus-minus witness, a
     principal cube of the form's ideal span(m, (-k + tau)/2), and no probe

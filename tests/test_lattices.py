@@ -38,7 +38,7 @@ from normed_forms import (
 from normed_forms import lattices, matembed
 from normed_forms.forms import exact_sqrt, ext_gcd
 from normed_forms.lattices import _canonical_data
-from test_matembed import stability_oracle as matrix_stability_oracle
+from test_matembed import outcome, stability_oracle as matrix_stability_oracle
 
 deltas = st.sampled_from([-23, -4, -20, -8, 8, 12, 13, 5])
 rat = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -97,14 +97,6 @@ def stability_oracle(lat, k):
     """Closure scan: sigma_k of every ordered generator pair lies in L."""
     gens = (lat.e1, lat.e2)
     return all(lat.contains(sigma(k, z, w)) for z in gens for w in gens)
-
-
-def outcome(fn, *args):
-    """repr of the result, or the exception type's name for a ValueError."""
-    try:
-        return repr(fn(*args))
-    except ValueError:
-        return "ValueError"
 
 
 def test_context_basics():
@@ -565,6 +557,9 @@ def test_matrix_embedding_examples():
     sub1 = prime.matrix_embedding(1)
     assert sub1 == Sublattice(((0, -3), (2, -1)), 2)
     assert sub1.det_form() == Form(6, -2, 4)
+    # conj(zeta) acts by the adjugate of zeta's matrix ((0, -3), (2, -1))
+    assert prime.matrix_embedding(2) == prime.matrix_embedding(3) == Sublattice(
+        ((-1, 3), (-2, 0)), 2)
     for k in (1, 2, 3):
         assert check_stability(prime.matrix_embedding(k), k)
     with pytest.raises(ValueError):
