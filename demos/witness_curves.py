@@ -20,7 +20,6 @@ from normed_forms import (
     Quadruple,
     curve_embedding,
     curve_phase,
-    curve_quadruple,
     curve_sample,
     embedding_to_quadruple,
     minus_minus_bounds,
@@ -58,17 +57,15 @@ def main():
     print(f"curve of {form}: integer witness {target}")
     best = None
     for branch in (1, -1):
-        for i in range(200000):
-            theta = 2 * math.pi * i / 200000
-            quad = curve_quadruple(form, theta, branch=branch)
+        for point in sample_rows(form, 200000, branch=branch):
             err = max(
-                abs(quad[0] - target.a),
-                abs(quad[1] - target.b),
-                abs(quad[2] - target.c),
-                abs(quad[3] - target.d),
+                abs(point.a - target.a),
+                abs(point.b - target.b),
+                abs(point.c - target.c),
+                abs(point.d - target.d),
             )
             if best is None or err < best[0]:
-                best = (err, theta, branch)
+                best = (err, point.theta, branch)
     err, theta, branch = best
     print(f"  the witness sits on branch {branch:+d} at theta = {theta:.5f}"
           f" (distance {err:.2e})")

@@ -35,7 +35,6 @@ from .curve import (
     EmbeddingMatrix,
     curve_embedding,
     curve_phase,
-    curve_quadruple,
     curve_sample,
     embedding_to_quadruple,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "check_stability",
     "curve_embedding",
     "curve_phase",
-    "curve_quadruple",
     "curve_sample",
     "derive_form_minus_minus",
     "embed_form",

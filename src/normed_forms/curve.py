@@ -119,13 +119,6 @@ def embedding_to_quadruple(emb: EmbeddingMatrix) -> tuple[float, float, float, f
     return a, b, c, d
 
 
-def curve_quadruple(
-    form: Form, theta: float, branch: int = 1
-) -> tuple[float, float, float, float]:
-    """Point (a, b, c, d) of the real minus-minus witness curve."""
-    return embedding_to_quadruple(curve_embedding(form, theta, branch))
-
-
 def curve_sample(form: Form, thetas, branch: int = 1) -> list[CurvePoint]:
     """Evaluate the witness curve at the given parameter values."""
     at = _curve(form, branch)[1]

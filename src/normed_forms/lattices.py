@@ -56,11 +56,6 @@ class Context:
         if not _is_discriminant(self.delta):
             raise ValueError("discriminant must be nonzero and 0 or 1 mod 4")
 
-    @property
-    def eps(self) -> int:
-        """+1 for the complex case (delta < 0), -1 for the hyperbolic case."""
-        return 1 if self.delta < 0 else -1
-
     def elem(self, u: Rational, v: Rational = 0) -> "QuadElem":
         return QuadElem(self, u, v)
 
@@ -132,9 +127,6 @@ class QuadElem:
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
-    def is_rational(self) -> bool:
-        return self.v == 0
-
     def is_quadratic_integer(self) -> bool:
         """Non-rational with integer trace and norm."""
         return (
@@ -204,9 +196,6 @@ class Lattice:
     def canonical_basis(self) -> "CanonicalBasis":
         r, u, v = _canonical_data([self.e1, self.e2])
         return CanonicalBasis(r=r, zeta=QuadElem(self.ctx, u, v))
-
-    def canonicalized(self) -> "Lattice":
-        return hnf_from_generators(self.ctx, [self.e1, self.e2])
 
     def contains(self, z: QuadElem) -> bool:
         if z.ctx != self.ctx:

@@ -24,8 +24,8 @@ from normed_forms import (
     Quadruple,
     curve_embedding,
     curve_phase,
-    curve_quadruple,
     curve_sample,
+    embedding_to_quadruple,
     full_classification,
     is_normed,
     make_minus_minus,
@@ -376,8 +376,7 @@ def test_curve_rejects_unusable_forms():
     # sqrt(m) of FAR_BASIS is too, though its phase is not
     for form in (Form(1, 0, 10**400), Form(1, 10**400, 1), Form(1, 10**300, 1), FAR_BASIS):
         for call in (lambda: curve_phase(form), lambda: curve_embedding(form, 0.0),
-                     lambda: curve_quadruple(form, 0.0), lambda: curve_sample(form, [0.0]),
-                     lambda: curve_sample(form, [])):
+                     lambda: curve_sample(form, [0.0]), lambda: curve_sample(form, [])):
             with pytest.raises(ValueError, match="too large"):
                 call()
     # overflow is the only way out of the float range: the points of
@@ -435,11 +434,11 @@ CURVE_FORMS = [(4, 2, 6), (2, 1, 3), (1, 0, 1), (3, -1, 5), (1, 3, 1), (2, 5, 1)
     st.sampled_from([1, -1]),
 )
 @settings(max_examples=120)
-def test_curve_sample_points_are_curve_quadruples(coeffs, theta, branch):
-    """A sampled point equals curve_quadruple's, the one route to a point."""
+def test_curve_sample_points_are_embedding_quadruples(coeffs, theta, branch):
+    """A sampled point is the quadruple of the embedding at its theta."""
     f = Form(*coeffs)
     (pt,) = curve_sample(f, [theta], branch)
-    assert pt == CurvePoint(theta, *curve_quadruple(f, theta, branch))
+    assert pt == CurvePoint(theta, *embedding_to_quadruple(curve_embedding(f, theta, branch)))
 
 
 @given(
@@ -526,10 +525,11 @@ def closed_form_quadruple(form, theta, branch=1):
 )
 @settings(max_examples=120)
 def test_curve_matches_closed_form_oracle(coeffs, theta, branch):
-    """curve_quadruple equals the closed formula; an indefinite form with
+    """A curve_sample point equals the closed formula; an indefinite form with
     k < 0 gets the point (a, b, -c, -d) of the form with k > 0 (x2 -> -x2)."""
     f = Form(*coeffs)
-    got = curve_quadruple(f, theta, branch)
+    (pt,) = curve_sample(f, [theta], branch)
+    got = (pt.a, pt.b, pt.c, pt.d)
     if f.discriminant() > 0 and f.k < 0:
         a, b, c, d = closed_form_quadruple(Form(f.m, -f.k, f.n), theta, branch)
         expected = (a, b, -c, -d)

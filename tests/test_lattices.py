@@ -103,12 +103,10 @@ def test_context_basics():
     """tau squares to delta; the order generator depends on delta mod 4."""
     ctx = ctx23()
     tau = ctx.tau()
-    assert (tau * tau).is_rational()
+    assert (tau * tau).v == 0
     assert (tau * tau).u == -23
-    assert ctx.eps == 1
     assert ctx.order_generator() == ctx.elem(Fr(1, 2), Fr(1, 2))
     assert Context(-4).order_generator() == Context(-4).elem(0, Fr(1, 2))
-    assert Context(8).eps == -1
 
 
 def test_context_rejects_bad_delta():
@@ -247,7 +245,7 @@ def test_lattice_equality_is_basis_free():
     assert lat == Lattice(ctx, e1 + e2, e2)
     assert lat == Lattice(ctx, e1, e2 - 3 * e1)
     assert lat != Lattice(ctx, 2 * e1, e2)
-    assert lat == lat.canonicalized()
+    assert lat == hnf_from_generators(ctx, [lat.e1, lat.e2])
 
 
 def test_equal_lattices_hash_equal():
@@ -287,7 +285,7 @@ def test_canonical_basis_is_computed_only_when_asked(monkeypatch):
     cube = ideal * ideal * ideal
     assert calls == [4, 4]
     assert cube.is_principal()
-    assert cube == cube.canonicalized() and len(calls) == 5
+    assert cube == hnf_from_generators(ctx, [cube.e1, cube.e2]) and len(calls) == 5
 
 
 def order_lattice_oracle(ctx, delta_star):

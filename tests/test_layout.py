@@ -58,7 +58,7 @@ def test_cli_uses_no_private_classify_names():
 
 def test_curve_names_still_exported():
     for name in ("CurvePoint", "EmbeddingMatrix", "curve_embedding", "curve_phase",
-                 "curve_quadruple", "curve_sample", "embedding_to_quadruple"):
+                 "curve_sample", "embedding_to_quadruple"):
         assert getattr(normed_forms, name).__module__ == "normed_forms.curve"
 
 
