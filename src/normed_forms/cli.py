@@ -34,7 +34,10 @@ on its 7x7 sample exactly, and each one proves that the form is not closed.
 For indefinite forms the fields stay advisory (decided false, closed null).
 The probe runs once per box-symmetry orbit {(m, +-k, n), (n, +-k, m)} within
 a discriminant: x2 -> -x2 and x1 <-> x2 map the sample and search boxes onto
-themselves, so the fields are equal across the orbit (see _catalog_record).
+themselves, so the fields are equal across the orbit.  An orbit without a
+witness is classified once too: two witness bijections show that its forms
+share the whole record tail, verdict and semigroup fields (see
+_catalog_record).
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ MAX_CURVE_SAMPLES = 100_000
 # catalog solves for n at about (4/3) * box^2 pairs (m, k) per positive delta
 MAX_CATALOG_BOX = 1000
 # catalog classifies and probes each reduced form of a negative discriminant,
-# about sqrt(|delta|) of them (up to about 0.9 s for one discriminant near
-# the cap); the cap holds for positive windows too
+# about sqrt(|delta|) of them (up to about 0.7 s for one discriminant near
+# the cap: -99839, 475 forms, in process); the cap holds for positive
+# windows too
 MAX_CATALOG_DISCRIMINANT = 10**5
 
 
@@ -247,47 +251,63 @@ def _positive_delta_forms(delta: int, box: int) -> Iterator[Form]:
 
 
 def _catalog_record(delta: int, form: Form,
-                    probes: dict[tuple[int, int, int], tuple[bool, int]]) -> dict:
-    """The catalog record of one form of discriminant delta.  probes maps each
-    box-symmetry orbit (min(m, n), |k|, max(m, n)) of delta to its probe result.
+                    orbits: dict[tuple[int, int, int], tuple[dict | None, dict]]) -> dict:
+    """The catalog record of one form of discriminant delta.  orbits maps each
+    box-symmetry orbit (min(m, n), |k|, max(m, n)) of delta to its shared
+    record tail: (verdict fields or None, semigroup fields).
 
     x2 -> -x2 and x1 <-> x2 map the sample box and the search box onto
     themselves and turn (m, k, n) into (m, -k, n) and (n, k, m), so all forms
     of an orbit have the same sample values and represent the same products
-    (on all of Z^2 for definite forms, inside the box for indefinite ones).
+    (on all of Z^2 for definite forms, inside the box for indefinite ones):
+    the semigroup fields are shared.  So are the verdict fields of an orbit
+    without a witness.  The witness bijections (a, b, c, d) -> (-a, -b, c, d)
+    and (a, b, c, d) -> (c, d, a, b) take the minus-minus witnesses of
+    (m, k, n) to those of (m, -k, n) and (n, k, m), inside the same boxes
+    (the box is a cube for indefinite forms; for definite forms the search
+    is complete).  f o sigma represents r exactly when f does, and the
+    content is the same, so the plus search finds a witness for all forms of
+    the orbit or for none.  Without a witness the fields depend only on the
+    definiteness, which the orbit shares, so its twins skip
+    full_classification.  They would not have been refused either: its
+    budget reads the content and the box, and on a definite form amax,
+    which (m, -k, n) shares; reduced forms have m <= n, so no definite twin
+    (n, k, m) with n != m is listed.
     """
-    report = full_classification(form)
-    # a witness proves closure (ClassificationReport.has_witness); indefinite
-    # records keep the advisory probe, whose fields the pinned windows fix
-    if report.has_witness and report.definiteness is Definiteness.POSITIVE_DEFINITE:
-        decided, count = True, 0
-    else:
-        orbit = (min(form.m, form.n), abs(form.k), max(form.m, form.n))
-        if orbit not in probes:
-            probe = semigroup_probe(form)
-            probes[orbit] = probe.decided, probe.counterexample_count
-        decided, count = probes[orbit]
-    return _decimal({
-        "delta": delta,
-        "form": form.coefficients(),
-        **_verdict_fields(report),
-        "semigroup_decided": decided,
-        "semigroup_counterexamples": count,
-        "semigroup_closed": count == 0 if decided else None,
-    })
+    orbit = (min(form.m, form.n), abs(form.k), max(form.m, form.n))
+    verdict, semigroup = orbits.get(orbit, (None, None))
+    if verdict is None:  # the orbit's first form, or one with a witness
+        report = full_classification(form)
+        verdict = _verdict_fields(report)
+        if semigroup is None:
+            # a witness proves closure (ClassificationReport.has_witness);
+            # indefinite records keep the advisory probe, whose fields the
+            # pinned windows fix
+            if report.has_witness and report.definiteness is Definiteness.POSITIVE_DEFINITE:
+                decided, count = True, 0
+            else:
+                probe = semigroup_probe(form)
+                decided, count = probe.decided, probe.counterexample_count
+            semigroup = {
+                "semigroup_decided": decided,
+                "semigroup_counterexamples": count,
+                "semigroup_closed": count == 0 if decided else None,
+            }
+            orbits[orbit] = (None if report.has_witness else verdict, semigroup)
+    return _decimal({"delta": delta, "form": form.coefficients(), **verdict, **semigroup})
 
 
 def _catalog_records(dmin: int, dmax: int, box: int) -> Iterator[dict]:
     """The record of each form of the window, yielded in canonical order as
     it is computed; each discriminant's forms are enumerated when it is
-    reached, and share one orbit-probe dict."""
+    reached, and share one orbit dict."""
     for delta in range(dmin, dmax + 1):
         if not _is_discriminant(delta):
             continue
         forms = reduced_forms(delta) if delta < 0 else _positive_delta_forms(delta, box)
-        probes: dict[tuple[int, int, int], tuple[bool, int]] = {}
+        orbits: dict[tuple[int, int, int], tuple[dict | None, dict]] = {}
         for form in forms:
-            yield _catalog_record(delta, form, probes)
+            yield _catalog_record(delta, form, orbits)
 
 
 _CSV_COLUMNS = (

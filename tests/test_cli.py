@@ -14,6 +14,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import normed_forms
 from normed_forms import Form, PlusParams, Quadruple, classify, cli, full_classification
@@ -448,6 +450,38 @@ def test_catalog_probes_only_without_certificate(capsys, monkeypatch, window, pr
             direct.counterexample_count == 0 if direct.decided else None)
     assert probed == expected
     assert len(probed) == probe_count
+
+
+def test_catalog_classifies_each_witness_free_orbit_once(monkeypatch):
+    """A witness-free orbit shares its whole record tail, so its twins skip
+    full_classification: the -400..-3 catalog classifies 808 of its 1,108
+    forms, and each record equals the one its form gets alone, with a fresh
+    orbit dict."""
+    calls = 0
+    classify_form = cli.full_classification
+
+    def counting(form, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return classify_form(form, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "full_classification", counting)
+    records = list(cli._catalog_records(-400, -3, 12))
+    assert (calls, len(records)) == (808, 1108)
+    for record in records:
+        form = Form(*(int(c) for c in record["form"]))
+        assert record == cli._catalog_record(int(record["delta"]), form, {})
+
+
+@given(st.tuples(*[st.integers(-10**6, 10**6)] * 4))
+def test_witness_bijections_map_onto_the_orbit(entries):
+    """(a, b, c, d) -> (-a, -b, c, d) and (a, b, c, d) -> (c, d, a, b) take a
+    minus-minus witness of (m, k, n) to one of (m, -k, n) and of (n, k, m),
+    the bijections behind the orbit sharing of _catalog_record."""
+    a, b, c, d = entries
+    m, k, n = Quadruple(a, b, c, d).form().coefficients()
+    assert Quadruple(-a, -b, c, d).form() == Form(m, -k, n)
+    assert Quadruple(c, d, a, b).form() == Form(n, k, m)
 
 
 def test_catalog_csv_schema(capsys):
