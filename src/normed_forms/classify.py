@@ -41,20 +41,20 @@ BOUNDED, not a proof.
 
 full_classification raises ValueError for an input over its search budget,
 before it solves any row.  First it caps a positive definite form's
-minus-minus scan at MAX_CLASSIFY_BOX rows (2 amax + 1, minus_minus_bounds),
+minus-minus scan at MAX_SEARCH_ROWS rows (2 amax + 1, minus_minus_bounds),
 since the plus search solves rows too; 4mn >= |disc| makes amax at least
 isqrt(content), which bounds the plus search's divisor loop.  search_plus
-caps its trial division, isqrt(content), at MAX_CLASSIFY_BOX and an
+caps its trial division, isqrt(content), at MAX_SEARCH_ROWS and an
 indefinite form's rows, box + 1 per positive divisor of the content, at
-MAX_CLASSIFY_BOX + 1; as 1 divides every content, the box is capped too,
+MAX_SEARCH_ROWS + 1; as 1 divides every content, the box is capped too,
 and with it the 2 box + 1 rows of the minus-minus scan, which runs second.
 
 Each public search also keeps the budget on its own.  minus_minus_witnesses
 refuses the same positive definite forms as full_classification, and an
-indefinite box over MAX_CLASSIFY_BOX, which search_plus refuses first inside
+indefinite box over MAX_SEARCH_ROWS, which search_plus refuses first inside
 full_classification.  search_plus refuses a positive definite form whose
 largest search, represent(c) on f / c for c the content, would solve more
-than MAX_CLASSIFY_BOX rows; that is isqrt(4 m c^2 // |disc|) + 1 rows, at
+than MAX_SEARCH_ROWS rows; that is isqrt(4 m c^2 // |disc|) + 1 rows, at
 most amax + 1 as c^2 <= m n, so inside full_classification it never fires.
 """
 
@@ -65,7 +65,7 @@ from enum import Enum
 from math import isqrt
 
 from .forms import (
-    MAX_SEARCH_ROWS as MAX_CLASSIFY_BOX,
+    MAX_SEARCH_ROWS,
     DegenerateFormError,
     Definiteness,
     Form,
@@ -137,9 +137,9 @@ def _budgeted_bounds(form: Form) -> tuple[int, int, int, int]:
     the budget."""
     bounds = minus_minus_bounds(form)
     rows = 2 * bounds[0] + 1
-    if rows > MAX_CLASSIFY_BOX:
+    if rows > MAX_SEARCH_ROWS:
         raise ValueError(f"the minus-minus search would solve {rows} rows, "
-                         f"more than {MAX_CLASSIFY_BOX}")
+                         f"more than {MAX_SEARCH_ROWS}")
     return bounds
 
 
@@ -201,9 +201,9 @@ def minus_minus_witnesses(
         return [], Decision.DECIDED
     if kind is Definiteness.POSITIVE_DEFINITE:
         return _scan_quadruples(form, _budgeted_bounds(form)), Decision.DECIDED
-    if box_bound > MAX_CLASSIFY_BOX:
+    if box_bound > MAX_SEARCH_ROWS:
         raise ValueError(f"the minus-minus search would solve {2 * box_bound + 1} rows, "
-                         f"more than {2 * MAX_CLASSIFY_BOX + 1}")
+                         f"more than {2 * MAX_SEARCH_ROWS + 1}")
     box = (box_bound, box_bound, box_bound, box_bound)
     hits = _scan_quadruples(form, box)
     return hits, Decision.DECIDED if hits else Decision.BOUNDED
@@ -236,21 +236,21 @@ def search_plus(
     exact = kind is Definiteness.POSITIVE_DEFINITE
     content = form.content()
     root = isqrt(content)
-    if root > MAX_CLASSIFY_BOX:
+    if root > MAX_SEARCH_ROWS:
         raise ValueError(f"the plus search would trial-divide up to {root}, "
-                         f"more than {MAX_CLASSIFY_BOX}")
+                         f"more than {MAX_SEARCH_ROWS}")
     if exact:
         # represent(r) on form / r solves isqrt(4 m r^2 // |disc|) + 1 rows,
         # most for r = content
         rows = isqrt(4 * form.m * content * content // -form.discriminant()) + 1
-        if rows > MAX_CLASSIFY_BOX:
+        if rows > MAX_SEARCH_ROWS:
             raise ValueError(f"the plus search would solve {rows} rows for one "
-                             f"divisor, more than {MAX_CLASSIFY_BOX}")
+                             f"divisor, more than {MAX_SEARCH_ROWS}")
     divisors = _positive_divisors(content)
     rows = len(divisors) * (box_bound + 1)
-    if not exact and rows > MAX_CLASSIFY_BOX + 1:
+    if not exact and rows > MAX_SEARCH_ROWS + 1:
         raise ValueError(f"the plus search would solve {rows} rows, "
-                         f"more than {MAX_CLASSIFY_BOX + 1}")
+                         f"more than {MAX_SEARCH_ROWS + 1}")
     for r in divisors:
         g = Form(form.m // r, form.k // r, form.n // r)
         sol = g.represent(r, box_bound)

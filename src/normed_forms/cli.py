@@ -8,19 +8,23 @@ Five subcommands, all thin adapters over the library:
     verify      check a user-supplied pairing against a form
     catalog     classify every reduced primitive form in a discriminant range
 
-Machine-readable output is JSON lines with every integer rendered as a
-decimal string (consumers never lose precision to doubles), keys sorted.
-Commands build records from plain library values; `_decimal` is the one
-place where integers become strings, for JSON and CSV alike.
-Output bytes are deterministic for fixed inputs and flags; wall-clock timing
-is only attached when --timing is passed, and never in catalog records.
+Each cmd_* computes and returns (output, exit status).  The output is a
+record dict (form-info, classify, verify) or newline-terminated lines
+(curve; catalog's lazy generator, [] after --out).  main alone writes
+stdout, attaches elapsed_ms under --timing and maps refusals to exit 2:
+input checks raise ValueError, as the library does on degenerate and
+over-budget input, and main prints `error: <text>` for it.  Records are
+sorted-key JSON lines with every integer rendered as a decimal string
+(consumers never lose precision to doubles); `_decimal` is the one place where
+integers become strings, for JSON and CSV alike.  Output bytes are
+deterministic for fixed inputs and flags; catalog records carry no timing.
 
-Exit codes: 0 success, 1 verification negative, 2 input error (for classify,
-the ValueError of an over-budget full_classification), 3 inconclusive under
---strict, 4 I/O failure (a reader that closes stdout early, as `| head`
-does, included; it exits quietly).
+Exit codes: 0 success, 1 verification negative, 2 input error (an input
+check or the library's ValueError), 3 inconclusive under --strict, 4 I/O
+failure (a reader that closes stdout early, as `| head` does, included; it
+exits quietly).
 
-The catalog command writes records to stdout one by one as they are computed,
+The catalog's records reach stdout one by one as they are computed,
 in canonical order (ascending discriminant, then enumeration order of the
 forms), so the JSON lines of adjacent sub-windows concatenate to the full
 window's bytes and a wide window can be split across concurrent runs; --out
@@ -52,14 +56,10 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 from math import gcd, isqrt
 
-from .classify import (
-    ClassificationReport,
-    full_classification,
-    order3_verdict,
-)
+from .classify import ClassificationReport, full_classification, order3_verdict
 from .curve import curve_sample
 from .forms import (
-    MAX_SEARCH_ROWS as MAX_CLASSIFY_BOX,
+    MAX_SEARCH_ROWS,
     Definiteness,
     Form,
     _is_discriminant,
@@ -69,7 +69,7 @@ from .forms import (
 )
 from .pairings import Pairing, is_normed, type_of
 
-_HYPERBOLIC_COMMENT = "# hyperbolic parametrization: s = sinh, c = cosh"
+_HYPERBOLIC_COMMENT = "# hyperbolic parametrization: s = sinh, c = cosh\n"
 # curve builds every theta and point in memory, so --samples is bounded
 MAX_CURVE_SAMPLES = 100_000
 # catalog solves for n at about (4/3) * box^2 pairs (m, k) per positive delta
@@ -96,13 +96,6 @@ def _decimal(value):
     return value
 
 
-def _print_record(record: dict, elapsed_ms: float | None) -> None:
-    record = _decimal(record)
-    if elapsed_ms is not None:
-        record["elapsed_ms"] = round(elapsed_ms, 3)
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def _fail(message: str, code: int) -> int:
     sys.stderr.write(f"error: {message}\n")
     return code
@@ -121,11 +114,10 @@ def _verdict_fields(report: ClassificationReport) -> dict:
     }
 
 
-def cmd_form_info(args: argparse.Namespace) -> int:
+def cmd_form_info(args: argparse.Namespace) -> tuple[dict, int]:
     form = Form(args.m, args.k, args.n)
     if form.is_zero():
-        return _fail("the zero form has no content or primitive part", 2)
-    start = time.perf_counter()
+        raise ValueError("the zero form has no content or primitive part")
     kind = form.definiteness()
     content, primitive = form.content_and_primitive()
     record = {
@@ -151,42 +143,32 @@ def cmd_form_info(args: argparse.Namespace) -> int:
         record["reduction_transform"] = transform
         record["principal_form"] = principal.coefficients()
         record["is_principal_class"] = reduced == principal
-    elapsed = (time.perf_counter() - start) * 1000
-    _print_record(record, elapsed if args.timing else None)
-    return 0
+    return record, 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     if args.box < 0:
-        return _fail("--box must not be negative", 2)
-    if args.box > MAX_CLASSIFY_BOX:
-        return _fail(f"--box must be at most {MAX_CLASSIFY_BOX}", 2)
+        raise ValueError("--box must not be negative")
+    if args.box > MAX_SEARCH_ROWS:
+        raise ValueError(f"--box must be at most {MAX_SEARCH_ROWS}")
     form = Form(args.m, args.k, args.n)
-    start = time.perf_counter()
-    try:
-        report = full_classification(form, box_bound=args.box)
-    except ValueError as exc:  # includes DegenerateFormError
-        return _fail(str(exc), 2)
+    report = full_classification(form, box_bound=args.box)
     record = {
         "command": "classify",
         "form": form.coefficients(),
         "discriminant": form.discriminant(),
         **_verdict_fields(report),
     }
-    elapsed = (time.perf_counter() - start) * 1000
-    _print_record(record, elapsed if args.timing else None)
-    if args.strict and not report.fully_decided:
-        return 3
-    return 0
+    return record, 3 if args.strict and not report.fully_decided else 0
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(args: argparse.Namespace) -> tuple[list[str], int]:
     # checked first: the step divides by --samples, and every theta is built
     # in memory before curve_sample checks the form
     if args.samples < 1:
-        return _fail("--samples must be at least 1", 2)
+        raise ValueError("--samples must be at least 1")
     if args.samples > MAX_CURVE_SAMPLES:
-        return _fail(f"--samples must be at most {MAX_CURVE_SAMPLES}", 2)
+        raise ValueError(f"--samples must be at most {MAX_CURVE_SAMPLES}")
     form = Form(args.m, args.k, args.n)
     definite = form.definiteness() is Definiteness.POSITIVE_DEFINITE
     theta_max = args.theta_max
@@ -195,31 +177,23 @@ def cmd_curve(args: argparse.Namespace) -> int:
     step = (theta_max - args.theta_min) / args.samples
     # not finite when either end is nan or infinite, or their gap overflows
     if not math.isfinite(step):
-        return _fail("the theta window must be finite", 2)
+        raise ValueError("the theta window must be finite")
     thetas = [args.theta_min + i * step for i in range(args.samples)]
-    branch = 1 if args.branch == "plus" else -1
-    try:
-        points = curve_sample(form, thetas, branch)
-    except ValueError as exc:  # includes DegenerateFormError
-        return _fail(str(exc), 2)
-    lines = []
-    if not definite:
-        lines.append(_HYPERBOLIC_COMMENT)
-    lines.append("theta,a,b,c,d")
+    points = curve_sample(form, thetas, 1 if args.branch == "plus" else -1)
+    lines = [] if definite else [_HYPERBOLIC_COMMENT]
+    lines.append("theta,a,b,c,d\n")
     for pt in points:
         cells = [format(v, ".12g") for v in (pt.theta, pt.a, pt.b, pt.c, pt.d)]
-        lines.append(",".join(cells))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+        lines.append(",".join(cells) + "\n")
+    return lines, 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     pairing = Pairing(
         ((args.entries[0], args.entries[1]), (args.entries[2], args.entries[3])),
         ((args.entries[4], args.entries[5]), (args.entries[6], args.entries[7])),
     )
     form = Form(args.entries[8], args.entries[9], args.entries[10])
-    start = time.perf_counter()
     normed = is_normed(pairing, form)
     type_label = None
     if normed and form.discriminant() != 0:
@@ -232,9 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "commutative": pairing.is_commutative(),
         "traceless": pairing.is_traceless(),
     }
-    elapsed = (time.perf_counter() - start) * 1000
-    _print_record(record, elapsed if args.timing else None)
-    return 0 if normed else 1
+    return record, 0 if normed else 1
 
 
 def _positive_delta_forms(delta: int, box: int) -> Iterator[Form]:
@@ -332,18 +304,18 @@ def _record_to_csv(record: dict) -> str:
                     for c in cells)
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
+def cmd_catalog(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     if args.dmin > args.dmax:
-        return _fail("--dmin must not exceed --dmax", 2)
+        raise ValueError("--dmin must not exceed --dmax")
     if args.dmax >= 0 and args.dmin <= 0:
-        return _fail("range must be entirely negative or entirely positive", 2)
-    if args.dmin > 0 and args.box < 1:
-        return _fail("a positive range needs --box >= 1", 2)
+        raise ValueError("range must be entirely negative or entirely positive")
+    if args.box < 1:
+        raise ValueError("--box must be at least 1")
     if args.box > MAX_CATALOG_BOX:
-        return _fail(f"--box must be at most {MAX_CATALOG_BOX}", 2)
+        raise ValueError(f"--box must be at most {MAX_CATALOG_BOX}")
     if max(abs(args.dmin), abs(args.dmax)) > MAX_CATALOG_DISCRIMINANT:
-        return _fail("--dmin and --dmax must be at most "
-                     f"{MAX_CATALOG_DISCRIMINANT} in absolute value", 2)
+        raise ValueError("--dmin and --dmax must be at most "
+                         f"{MAX_CATALOG_DISCRIMINANT} in absolute value")
     records = _catalog_records(args.dmin, args.dmax, args.box)
     if args.format == "jsonl":
         lines = (json.dumps(r, sort_keys=True) + "\n" for r in records)
@@ -351,14 +323,12 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         rows = (_record_to_csv(r) + "\n" for r in records)
         lines = chain([",".join(_CSV_COLUMNS) + "\n"], rows)
     if args.out is None:
-        for line in lines:
-            sys.stdout.write(line)
-        return 0
+        return lines, 0
     try:
         _write_atomically(args.out, lines)
     except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}", 4)
-    return 0
+        return [], _fail(f"cannot write {args.out}: {exc}", 4)
+    return [], 0
 
 
 def _write_atomically(path: str, lines: Iterable[str]) -> None:
@@ -388,31 +358,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    info = sub.add_parser("form-info", help="facts about one form")
-    for name in ("m", "k", "n"):
-        info.add_argument(name, type=int)
-    info.add_argument("--timing", action="store_true", help="attach elapsed_ms")
-    info.set_defaults(func=cmd_form_info)
+    def command(name, func, summary, form=True):
+        """The subcommand name, run by func; form adds the positionals m k n."""
+        subparser = sub.add_parser(name, help=summary)
+        for coefficient in ("m", "k", "n") if form else ():
+            subparser.add_argument(coefficient, type=int)
+        subparser.set_defaults(func=func)
+        return subparser
 
-    classify = sub.add_parser("classify", help="which pairing families realize a form")
-    for name in ("m", "k", "n"):
-        classify.add_argument(name, type=int)
+    info = command("form-info", cmd_form_info, "facts about one form")
+    classify = command("classify", cmd_classify, "which pairing families realize a form")
     classify.add_argument("--box", type=int, default=100,
                           help="search bound for indefinite forms, "
-                          f"0 to {MAX_CLASSIFY_BOX}; rejected at once are "
+                          f"0 to {MAX_SEARCH_ROWS}; rejected at once are "
                           "positive definite forms whose minus-minus scan "
-                          f"exceeds {MAX_CLASSIFY_BOX} rows, and indefinite forms "
+                          f"exceeds {MAX_SEARCH_ROWS} rows, and indefinite forms "
                           "whose content's square root exceeds "
-                          f"{MAX_CLASSIFY_BOX} or whose plus search would solve "
-                          f"more than {MAX_CLASSIFY_BOX + 1} rows")
+                          f"{MAX_SEARCH_ROWS} or whose plus search would solve "
+                          f"more than {MAX_SEARCH_ROWS + 1} rows")
     classify.add_argument("--strict", action="store_true",
                           help="exit 3 when any verdict is merely bounded")
-    classify.add_argument("--timing", action="store_true", help="attach elapsed_ms")
-    classify.set_defaults(func=cmd_classify)
 
-    curve = sub.add_parser("curve", help="CSV samples of the real witness curve")
-    for name in ("m", "k", "n"):
-        curve.add_argument(name, type=int)
+    curve = command("curve", cmd_curve, "CSV samples of the real witness curve")
     curve.add_argument("--samples", type=int, default=64,
                        help=f"grid points, 1 to {MAX_CURVE_SAMPLES}")
     curve.add_argument("--theta-min", type=float, default=0.0,
@@ -421,23 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default: one period (definite) or 2.0 (indefinite); "
                             "write a negative value as --theta-max=-1e-3")
     curve.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    curve.set_defaults(func=cmd_curve)
 
-    verify = sub.add_parser(
-        "verify",
-        help="check a pairing (two row-major 2x2 matrices) against a form",
-    )
-    verify.add_argument(
-        "entries",
-        type=int,
-        nargs=11,
-        metavar="INT",
-        help="a11 a12 a21 a22 b11 b12 b21 b22 m k n",
-    )
-    verify.add_argument("--timing", action="store_true", help="attach elapsed_ms")
-    verify.set_defaults(func=cmd_verify)
+    verify = command("verify", cmd_verify,
+                     "check a pairing (two row-major 2x2 matrices) against a form",
+                     form=False)
+    verify.add_argument("entries", type=int, nargs=11, metavar="INT",
+                        help="a11 a12 a21 a22 b11 b12 b21 b22 m k n")
 
-    catalog = sub.add_parser("catalog", help="classify a discriminant range")
+    catalog = command("catalog", cmd_catalog, "classify a discriminant range", form=False)
     window = f"discriminant window bound, |D| at most {MAX_CATALOG_DISCRIMINANT}"
     catalog.add_argument("--dmin", type=int, required=True, help=window)
     catalog.add_argument("--dmax", type=int, required=True, help=window)
@@ -446,14 +404,28 @@ def build_parser() -> argparse.ArgumentParser:
     catalog.add_argument("--box", type=int, default=12,
                          help="coefficient bound for positive discriminants, "
                          f"at most {MAX_CATALOG_BOX}")
-    catalog.set_defaults(func=cmd_catalog)
+    # last, so that each help text lists it after the command's own options
+    for record_command in (info, classify, verify):
+        record_command.add_argument("--timing", action="store_true",
+                                    help="attach elapsed_ms")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        status = args.func(args)
+        output, status = args.func(args)
+    except ValueError as exc:  # includes DegenerateFormError
+        return _fail(str(exc), 2)
+    if isinstance(output, dict):  # a record; every record command has --timing
+        record = _decimal(output)
+        if args.timing:
+            record["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
+        output = [json.dumps(record, sort_keys=True) + "\n"]
+    try:
+        for line in output:
+            sys.stdout.write(line)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early (`catalog ... | head -1`): an I/O failure.

@@ -42,10 +42,10 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 
 # The package's one search budget, in rows solved (about 0.8 s for one
-# indefinite search at the cap).  classify and cli import it as
-# MAX_CLASSIFY_BOX; Form.represent refuses a search, and semigroup_probe a
-# form, whose searches could solve more rows, and reduced_forms a
-# discriminant that needs more trials.
+# indefinite search at the cap), under this one name in classify and cli too.
+# Form.represent refuses a search, and semigroup_probe a form, whose searches
+# could solve more rows, and reduced_forms a discriminant that needs more
+# trials.
 MAX_SEARCH_ROWS = 10**6
 
 # a x1^2 + b x1 x2 + c x2^2 takes the values a, c and a + b + c here, so these

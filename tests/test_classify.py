@@ -40,7 +40,7 @@ from normed_forms import (
     type_of,
 )
 from normed_forms import classify, forms
-from normed_forms.cli import MAX_CLASSIFY_BOX
+from normed_forms.forms import MAX_SEARCH_ROWS
 
 TOL = 1e-9
 
@@ -221,7 +221,7 @@ def test_full_classification_bounded_flags():
 
 
 # the CLI's limit: full_classification refuses with the CLI's exact text
-CAP = MAX_CLASSIFY_BOX
+CAP = MAX_SEARCH_ROWS
 # (form, box_bound, message, refused before the content is trial-divided)
 OVER_BUDGET = [
     (Form(10**30, 0, 10**30), 100,
@@ -303,7 +303,7 @@ def test_public_searches_refuse_over_budget(no_rows, search, form, box, message)
 def test_public_search_budgets_admit_their_boundary():
     """search_plus still searches a positive definite form of content
     (CAP - 1)^2, whose plus search for r = content solves exactly CAP rows.
-    (The indefinite box of MAX_CLASSIFY_BOX is pinned through the classify
+    (The indefinite box of MAX_SEARCH_ROWS is pinned through the classify
     command, in tests/test_cli.py.)"""
     edge = CAP - 1
     params, decision = search_plus(Form(edge**2, 0, edge**2))

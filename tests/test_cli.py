@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Iterator
 from math import gcd
 from pathlib import Path
 
@@ -74,12 +75,58 @@ def test_form_info_zero_form_fails(capsys):
     assert err.startswith("error:")
 
 
-def test_form_info_timing_opt_in(capsys):
-    """Wall-clock data appears only when requested."""
-    _, out, _ = run(capsys, ["form-info", "2", "1", "3"])
-    assert "elapsed_ms" not in json.loads(out)
-    _, out, _ = run(capsys, ["form-info", "2", "1", "3", "--timing"])
-    assert "elapsed_ms" in json.loads(out)
+@pytest.mark.parametrize("argv", [
+    ["form-info", "2", "1", "3"],
+    ["classify", "2", "1", "3"],
+    ["verify", "1", "-1", "-1", "-2", "-1", "-1", "-1", "1", "2", "1", "3"],
+], ids=lambda argv: argv[0])
+def test_record_timing_opt_in(capsys, argv):
+    """Wall-clock data appears only when requested, and it is the only field
+    that --timing adds to a record."""
+    _, out, _ = run(capsys, argv)
+    plain = json.loads(out)
+    assert "elapsed_ms" not in plain
+    _, out, _ = run(capsys, [*argv, "--timing"])
+    timed = json.loads(out)
+    assert isinstance(timed.pop("elapsed_ms"), float)
+    assert timed == plain
+
+
+# one accepted call of each subcommand, with the type of its output
+COMMAND_OUTPUTS = [
+    (["form-info", "4", "2", "6"], dict, 0),
+    (["classify", "1", "3", "1", "--box", "0", "--strict"], dict, 3),
+    (["curve", "1", "3", "1", "--samples", "5"], list, 0),
+    (["verify", "1", "0", "0", "1", "1", "0", "0", "1", "1", "0", "1"], dict, 1),
+    (["catalog", "--dmin", "-30", "--dmax", "-20"], Iterator, 0),
+]
+
+
+@pytest.mark.parametrize("argv, kind, status", COMMAND_OUTPUTS)
+def test_commands_return_output_and_write_nothing(capsys, argv, kind, status):
+    """A command computes and returns (output, exit status); only main writes.
+    Its output, written by main, is the command's stdout."""
+    args = cli.build_parser().parse_args(argv)
+    output, code = args.func(args)
+    assert isinstance(output, kind) and code == status
+    if kind is dict:
+        lines = [json.dumps(_decimal(output), sort_keys=True) + "\n"]
+    else:
+        lines = list(output)
+    assert capsys.readouterr() == ("", "")
+    assert run(capsys, argv) == (status, "".join(lines), "")
+
+
+def test_library_value_errors_exit_two(capsys, monkeypatch):
+    """main turns a ValueError raised inside a command's library call into
+    exit 2 with its text on stderr and nothing on stdout."""
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "full_classification", boom)
+    monkeypatch.setattr(cli, "curve_sample", boom)
+    for argv in (["classify", "2", "1", "3"], ["curve", "2", "1", "3"]):
+        assert run(capsys, argv) == (2, "", "error: boom\n")
 
 
 def test_classify_matches_library(capsys):
@@ -264,7 +311,7 @@ def test_usage_errors_exit_two(capsys):
     huge = str(10**12)
     code, out, err = run(capsys, ["classify", "1", "3", "1", "--box", huge])
     assert (code, out) == (2, "")
-    assert err == f"error: --box must be at most {cli.MAX_CLASSIFY_BOX}\n"
+    assert err == f"error: --box must be at most {cli.MAX_SEARCH_ROWS}\n"
     code, out, err = run(capsys, ["catalog", "--dmin", "5", "--dmax", "5", "--box", huge])
     assert (code, out) == (2, "")
     assert err == f"error: --box must be at most {cli.MAX_CATALOG_BOX}\n"
@@ -272,9 +319,9 @@ def test_usage_errors_exit_two(capsys):
 
 def test_oversized_searches_exit_two(capsys, monkeypatch):
     """Positive definite forms whose minus-minus scan would solve more than
-    MAX_CLASSIFY_BOX rows, indefinite forms whose plus search would
-    trial-divide their content beyond MAX_CLASSIFY_BOX or solve more than
-    MAX_CLASSIFY_BOX + 1 rows over the content's divisors, and catalog
+    MAX_SEARCH_ROWS rows, indefinite forms whose plus search would
+    trial-divide their content beyond MAX_SEARCH_ROWS or solve more than
+    MAX_SEARCH_ROWS + 1 rows over the content's divisors, and catalog
     windows beyond MAX_CATALOG_DISCRIMINANT, exit 2 before any search."""
     # the largest classify-big forms (amax about 330) stay accepted
     code, out, _ = run(capsys, ["classify", "100000", "50000", "100000"])
@@ -297,7 +344,7 @@ def test_oversized_searches_exit_two(capsys, monkeypatch):
     code, out, err = run(capsys, ["classify", "1", "2", "1"])
     assert (code, out) == (2, "")
     assert err == "error: classification requires a nondegenerate form\n"
-    cap = cli.MAX_CLASSIFY_BOX
+    cap = cli.MAX_SEARCH_ROWS
     # (10^30, 0, 10^30) has amax = 10^15; (2.5e11, 1, 2.5e11 + 1) has
     # amax = 500000, one row over the cap
     for shape, rows in (((10**30, 0, 10**30), 2 * 10**15 + 1),
@@ -506,13 +553,16 @@ def test_catalog_empty_window(capsys):
 
 
 def test_catalog_rejects_mixed_window(capsys):
-    """Ranges crossing zero, reversed ranges and a positive window with
-    --box 0 are usage errors."""
+    """Ranges crossing zero, reversed ranges and a --box below 1, on a
+    positive or a negative window, are usage errors."""
     for window in (["--dmin", "-5", "--dmax", "5"], ["--dmin", "-3", "--dmax", "-4"],
-                   ["--dmin", "5", "--dmax", "8", "--box", "0"]):
+                   ["--dmin", "5", "--dmax", "8", "--box", "0"],
+                   ["--dmin", "-4", "--dmax", "-3", "--box", "0"],
+                   ["--dmin", "-4", "--dmax", "-3", "--box", "-7"]):
         code, out, err = run(capsys, ["catalog", *window])
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+    assert err == "error: --box must be at least 1\n"
 
 
 def test_catalog_positive_window(capsys):
@@ -713,12 +763,13 @@ def workflow_digest_pins() -> list[tuple[list[str], str]]:
 
 
 def test_workflow_digests_match_in_process_output(capsys):
-    """Every catalog, classify and verify digest that CI pins equals the SHA-1
-    of the same commands run in process, so CI and these tests cannot drift."""
+    """Every catalog, classify, form-info and verify digest that CI pins
+    equals the SHA-1 of the same commands run in process, so CI and these
+    tests cannot drift."""
     pins = workflow_digest_pins()
     assert len(pins) >= 9
     assert {shlex.split(c)[1] for commands, _ in pins for c in commands} == {
-        "catalog", "classify", "verify"}
+        "catalog", "classify", "form-info", "verify"}
     for commands, digest in pins:
         out = ""
         for command in commands:
