@@ -65,6 +65,7 @@ from enum import Enum
 from math import isqrt
 
 from .forms import (
+    DEFAULT_BOX,
     MAX_SEARCH_ROWS,
     DegenerateFormError,
     Definiteness,
@@ -72,6 +73,10 @@ from .forms import (
     _row_solutions,
 )
 from .pairings import PlusParams, Quadruple
+
+__all__ = ["ClassificationReport", "Decision", "Order3Verdict", "full_classification",
+           "minus_minus_bounds", "minus_minus_witnesses", "order3_verdict",
+           "search_minus_minus", "search_plus"]
 
 
 class Decision(Enum):
@@ -184,7 +189,7 @@ def _scan_quadruples(
 
 
 def minus_minus_witnesses(
-    form: Form, box_bound: int = 100
+    form: Form, box_bound: int = DEFAULT_BOX
 ) -> tuple[list[Quadruple], Decision]:
     """All minus-minus witnesses, with a flag for completeness.
 
@@ -210,7 +215,7 @@ def minus_minus_witnesses(
 
 
 def search_minus_minus(
-    form: Form, box_bound: int = 100
+    form: Form, box_bound: int = DEFAULT_BOX
 ) -> tuple[Quadruple | None, Decision]:
     """First (lexicographically least) minus-minus witness, if any."""
     hits, decision = minus_minus_witnesses(form, box_bound)
@@ -218,7 +223,7 @@ def search_minus_minus(
 
 
 def search_plus(
-    form: Form, box_bound: int = 100
+    form: Form, box_bound: int = DEFAULT_BOX
 ) -> tuple[PlusParams | None, Decision]:
     """Parameters (m, k, n, p, q) realizing the form in the plus families.
 
@@ -266,7 +271,7 @@ def _positive_divisors(value: int) -> list[int]:
     return small + [value // d for d in reversed(small) if d * d != value]
 
 
-def full_classification(form: Form, box_bound: int = 100) -> ClassificationReport:
+def full_classification(form: Form, box_bound: int = DEFAULT_BOX) -> ClassificationReport:
     """Run both searches within the budget and bundle the outcome.
 
     One witness parameter set serves all three plus types at once, so the

@@ -59,6 +59,7 @@ from math import gcd, isqrt
 from .classify import ClassificationReport, full_classification, order3_verdict
 from .curve import curve_sample
 from .forms import (
+    DEFAULT_BOX,
     MAX_SEARCH_ROWS,
     Definiteness,
     Form,
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     info = command("form-info", cmd_form_info, "facts about one form")
     classify = command("classify", cmd_classify, "which pairing families realize a form")
-    classify.add_argument("--box", type=int, default=100,
+    classify.add_argument("--box", type=int, default=DEFAULT_BOX,
                           help="search bound for indefinite forms, "
                           f"0 to {MAX_SEARCH_ROWS}; rejected at once are "
                           "positive definite forms whose minus-minus scan "

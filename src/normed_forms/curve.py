@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 from .forms import DegenerateFormError, Definiteness, Form
 
+__all__ = ["CurvePoint", "EmbeddingMatrix", "curve_embedding", "curve_phase", "curve_sample",
+           "embedding_to_quadruple"]
+
 
 @dataclass(frozen=True)
 class CurvePoint:

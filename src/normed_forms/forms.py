@@ -36,6 +36,9 @@ from itertools import combinations_with_replacement, product, starmap
 from math import gcd, isqrt, prod
 from operator import mul
 
+__all__ = ["DegenerateFormError", "Definiteness", "Form", "SemigroupReport",
+           "principal_form", "reduced_forms", "semigroup_probe"]
+
 Vec2 = tuple[int, int]
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -47,6 +50,11 @@ IDENTITY: Mat2 = ((1, 0), (0, 1))
 # could solve more rows, and reduced_forms a discriminant that needs more
 # trials.
 MAX_SEARCH_ROWS = 10**6
+
+# The default side of an indefinite search box, |xi| <= DEFAULT_BOX: the box_bound
+# of Form.represent and the classify searches, and classify --box.  semigroup_probe
+# takes no box and keeps its own _PROBE_SEARCH.
+DEFAULT_BOX = 100
 
 # a x1^2 + b x1 x2 + c x2^2 takes the values a, c and a + b + c here, so these
 # points fix a binary quadratic form: one that vanishes on all three is zero.
@@ -289,7 +297,7 @@ class Form:
             return False
         return True
 
-    def represent(self, target: int, box_bound: int = 100) -> Vec2 | None:
+    def represent(self, target: int, box_bound: int = DEFAULT_BOX) -> Vec2 | None:
         """Search for an integer vector v with self(v) == target.
 
         Returns the first witness in lexicographic (x2, x1) order.  As

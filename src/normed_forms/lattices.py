@@ -43,6 +43,9 @@ from .forms import (DegenerateFormError, Definiteness, Form, _coupling_stable,
                     _is_discriminant, _row_solutions, coupling, exact_sqrt, hnf_rows)
 from .matembed import Sublattice, adjugate
 
+__all__ = ["CanonicalBasis", "Context", "Lattice", "QuadElem", "embed_form",
+           "hnf_from_generators", "order_lattice", "quadratic_order", "sigma"]
+
 Rational = int | Fraction
 
 

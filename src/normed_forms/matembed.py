@@ -34,6 +34,9 @@ from .pairings import (
     make_plus,
 )
 
+__all__ = ["Sublattice", "adjugate", "canonicalize", "check_stability", "induced_pairing",
+           "matrix_pair"]
+
 
 def adjugate(a: Mat2) -> Mat2:
     """((d, -b), (-c, a)); satisfies A adj(A) = det(A) E."""

@@ -33,6 +33,11 @@ from .forms import (
     mat_trace,
 )
 
+__all__ = ["PLUS_VARIANT_TYPES", "Pairing", "PairingType", "PlusParams", "Quadruple",
+           "TYPE_MM", "TYPE_MP", "TYPE_PM", "TYPE_PP", "derive_form_minus_minus",
+           "is_normed", "left_map_det", "make_minus_minus", "make_plus", "quadruple_of",
+           "right_map_det", "type_of"]
+
 
 class PairingType(NamedTuple):
     """Sign pair (eps1; eps2), each +1 or -1."""

@@ -22,6 +22,8 @@ from __future__ import annotations
 from .forms import QUADRATIC_POINTS, Form, Vec2
 from .pairings import Pairing, PlusParams, make_plus
 
+__all__ = ["anchored_pairings", "bracket", "bracket_is_multiplicative"]
+
 
 def bracket(form: Form, x: Vec2, y: Vec2, e: Vec2) -> Vec2:
     """[x, y, e] = -F(x, y) e + F(x, e) y + F(y, e) x, exactly.

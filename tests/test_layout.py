@@ -1,6 +1,8 @@
 """Guards on the package layout: exports, the exact/float split, the demos."""
 
 import hashlib
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -32,6 +34,21 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(normed_forms, name), name
+
+
+def test_each_public_name_is_stated_once():
+    """Each library module lists its own public names; the package adds none."""
+    union = []
+    for name in ("forms", "pairings", "trigroup", "matembed", "lattices", "classify", "curve"):
+        module = importlib.import_module(f"normed_forms.{name}")
+        for export in module.__all__:
+            obj = getattr(module, export)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, (name, export)
+            assert getattr(normed_forms, export) is obj, (name, export)
+        union += module.__all__
+    assert len(union) == len(set(union))
+    assert sorted(normed_forms.__all__) == sorted(union)
 
 
 def test_test_only_helper_is_not_exported():

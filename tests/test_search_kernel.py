@@ -566,7 +566,7 @@ def test_probe_search_count_on_reduced_forms(monkeypatch):
     calls = 0
     represent = Form.represent
 
-    def counting(self, target, box_bound=100):
+    def counting(self, target, box_bound=forms_module.DEFAULT_BOX):
         nonlocal calls
         calls += self is probed
         return represent(self, target, box_bound)
@@ -588,7 +588,7 @@ def test_probe_never_searches_for_zero(monkeypatch):
     represent = Form.represent
     row_solutions = forms_module._row_solutions
 
-    def recording(self, target, box_bound=100):
+    def recording(self, target, box_bound=forms_module.DEFAULT_BOX):
         targets.append(target)
         return represent(self, target, box_bound)
 
