@@ -10,7 +10,7 @@ exactly by classify.minus_minus_bounds; the curve's extents only illustrate
 that box.  The script
 samples the curve for (4, 2, 6) and (2, 1, 3), locates the integer witness
 of the latter, shows how the sign of k enters an indefinite curve, and
-checks the embedding matrices that generate the curve.
+checks that a sampled point solves the three witness equations.
 """
 
 import math
@@ -18,10 +18,8 @@ import math
 from normed_forms import (
     Form,
     Quadruple,
-    curve_embedding,
     curve_phase,
     curve_sample,
-    embedding_to_quadruple,
     minus_minus_bounds,
     search_minus_minus,
 )
@@ -80,15 +78,15 @@ def main():
     print("  (k < 0 negates beta and delta of the embedding, hence c and d)")
 
     print()
-    print("the curve is generated by a matrix embedding; its realized")
-    print("coefficients reproduce the form, and so does its quadruple:")
+    print("each point (a, b, c, d) of the curve solves the witness equations")
+    print("a^2 - cd = m, ac - bd = k and c^2 - ab = n over the reals:")
     form = Form(2, 1, 3)
-    emb = curve_embedding(form, 0.7)
-    print(f"  realized_coefficients at theta 0.7: "
-          f"{tuple(round(c, 9) for c in emb.realized_coefficients())}")
-    a, b, c, d = embedding_to_quadruple(emb)
+    point = curve_sample(form, [0.7])[0]
+    a, b, c, d = point.a, point.b, point.c, point.d
     equations = (a * a - c * d, a * c - b * d, c * c - a * b)
-    print(f"  (a^2 - cd, ac - bd, c^2 - ab) = {tuple(round(v, 9) for v in equations)}")
+    assert all(math.isclose(v, t, rel_tol=1e-12) for v, t in zip(equations, form.coefficients()))
+    print(f"  at theta 0.7: (a^2 - cd, ac - bd, c^2 - ab) ="
+          f" {tuple(round(v, 9) for v in equations)} for {form}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ Five subcommands, all thin adapters over the library:
     classify    which pairing families realize a form, with witnesses
     curve       CSV samples of the real witness curve (for plotting)
     verify      check a user-supplied pairing against a form
-    catalog     classify every reduced primitive form in a discriminant range
+    catalog     classify the forms of a discriminant range: the reduced
+                primitive forms for D < 0, the primitive forms of the
+                --box sample for D > 0
 
 Each cmd_* computes and returns (output, exit status).  The output is a
 record dict (form-info, classify, verify) or newline-terminated lines

@@ -1,9 +1,9 @@
 """The real witness curve of a form (floating point).
 
-For m > 0 and n > 0, theta sweeps out embeddings (alpha, beta, gamma, delta)
-realizing the form over the reals, using circular functions in the definite
-case and hyperbolic ones in the indefinite case; each embedding induces a
-minus-minus quadruple (a, b, c, d).  Each call checks the form and derives the
+For m > 0 and n > 0, theta sweeps out real embeddings (alpha, beta, gamma,
+delta) of the form, circular in the definite case and hyperbolic in the
+indefinite case, and each embedding induces a minus-minus point (a, b, c, d);
+curve_sample returns those points.  Each call checks the form and derives the
 curve once, before its first point; a form with |disc|, k, m, n or 4mn past
 floating point is refused.  Definite points agree with the exact bounds of
 classify.minus_minus_bounds, proved there without the curve, which serves
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .forms import DegenerateFormError, Definiteness, Form
 
-__all__ = ["CurvePoint", "EmbeddingMatrix", "curve_embedding", "curve_phase", "curve_sample",
-           "embedding_to_quadruple"]
+__all__ = ["CurvePoint", "curve_phase", "curve_sample"]
 
 
 @dataclass(frozen=True)
@@ -32,32 +31,14 @@ class CurvePoint:
     d: float
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """A real embedding (alpha, beta, gamma, delta) of a form (m, k, n).
-
-    alpha^2 + eps gamma^2 = m, 2(alpha beta + eps gamma delta) = k and
-    beta^2 + eps delta^2 = n, with eps = +1 circular or -1 hyperbolic, and
-    w = alpha delta - beta gamma."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    eps: int
-    w: float
-
-    def realized_coefficients(self) -> tuple[float, float, float]:
-        """(m, k, n) this embedding induces, for checking against a form."""
-        return (
-            self.alpha * self.alpha + self.eps * self.gamma * self.gamma,
-            2 * (self.alpha * self.beta + self.eps * self.gamma * self.delta),
-            self.beta * self.beta + self.eps * self.delta * self.delta,
-        )
-
-
 def _curve(form: Form, branch: int):
-    """(phase, at) of the witness curve, where at(theta) is its embedding.
+    """(phase, point) of the witness curve, where point(theta) is (a, b, c, d).
+
+    point builds the curve's embedding (alpha, beta, gamma, delta) at theta,
+    which realizes the form over the reals: alpha^2 + eps gamma^2 = m,
+    2(alpha beta + eps gamma delta) = k and beta^2 + eps delta^2 = n, with
+    eps = +1 circular or -1 hyperbolic.  It returns the quadruple that
+    embedding induces, each coordinate divided by w = alpha delta - beta gamma.
 
     The phase, acos(k / sqrt(4mn)) or acosh(|k| / sqrt(4mn)), is taken as
     atan2(sqrt(|disc|), k) and asinh(sqrt(disc) / sqrt(4mn)) from the exact
@@ -95,11 +76,15 @@ def _curve(form: Form, branch: int):
                          "floating-point witness curve") from None
     w = (-root if k < 0 else root) / 2
 
-    def at(theta: float) -> EmbeddingMatrix:
-        return EmbeddingMatrix(sm * c(theta), sn * c(theta + phase), sm * s(theta),
-                               sn * s(theta + phase), eps, w)
+    def point(theta: float) -> tuple[float, float, float, float]:
+        alpha, beta = sm * c(theta), sn * c(theta + phase)
+        gamma, delta = sm * s(theta), sn * s(theta + phase)
+        return ((delta * (alpha * alpha - eps * gamma * gamma) + 2 * alpha * beta * gamma) / w,
+                delta * (3 * beta * beta - eps * delta * delta) / w,
+                (gamma * (beta * beta - eps * delta * delta) + 2 * alpha * beta * delta) / w,
+                gamma * (3 * alpha * alpha - eps * gamma * gamma) / w)
 
-    return phase, at
+    return phase, point
 
 
 def curve_phase(form: Form) -> float:
@@ -107,28 +92,13 @@ def curve_phase(form: Form) -> float:
     return _curve(form, 1)[0]
 
 
-def curve_embedding(form: Form, theta: float, branch: int = 1) -> EmbeddingMatrix:
-    """Point (alpha, beta, gamma, delta) of the real embedding curve."""
-    return _curve(form, branch)[1](theta)
-
-
-def embedding_to_quadruple(emb: EmbeddingMatrix) -> tuple[float, float, float, float]:
-    """Recover the quadruple a witness embedding induces (w != 0)."""
-    alpha, beta, gamma, delta, eps, w = emb.alpha, emb.beta, emb.gamma, emb.delta, emb.eps, emb.w
-    a = (delta * (alpha * alpha - eps * gamma * gamma) + 2 * alpha * beta * gamma) / w
-    b = delta * (3 * beta * beta - eps * delta * delta) / w
-    c = (gamma * (beta * beta - eps * delta * delta) + 2 * alpha * beta * delta) / w
-    d = gamma * (3 * alpha * alpha - eps * gamma * gamma) / w
-    return a, b, c, d
-
-
 def curve_sample(form: Form, thetas, branch: int = 1) -> list[CurvePoint]:
     """Evaluate the witness curve at the given parameter values."""
-    at = _curve(form, branch)[1]
+    point = _curve(form, branch)[1]
     points = []
     for theta in thetas:
         try:
-            quad = embedding_to_quadruple(at(theta))
+            quad = point(theta)
         except OverflowError:  # cosh or sinh past |theta| of about 710
             quad = (math.inf,)
         if not all(map(math.isfinite, quad)):

@@ -1,6 +1,7 @@
 """Tests for the realizability searches and the real witness curve."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
@@ -22,10 +23,8 @@ from normed_forms import (
     PLUS_VARIANT_TYPES,
     PlusParams,
     Quadruple,
-    curve_embedding,
     curve_phase,
     curve_sample,
-    embedding_to_quadruple,
     full_classification,
     is_normed,
     make_minus_minus,
@@ -375,8 +374,8 @@ def test_curve_rejects_unusable_forms():
     # the discriminant of (1, 10^300, 1) is about 10^600, past any float;
     # sqrt(m) of FAR_BASIS is too, though its phase is not
     for form in (Form(1, 0, 10**400), Form(1, 10**400, 1), Form(1, 10**300, 1), FAR_BASIS):
-        for call in (lambda: curve_phase(form), lambda: curve_embedding(form, 0.0),
-                     lambda: curve_sample(form, [0.0]), lambda: curve_sample(form, [])):
+        for call in (lambda: curve_phase(form), lambda: curve_sample(form, [0.0]),
+                     lambda: curve_sample(form, [])):
             with pytest.raises(ValueError, match="too large"):
                 call()
     # overflow is the only way out of the float range: the points of
@@ -428,17 +427,126 @@ CURVE_FORMS = [(4, 2, 6), (2, 1, 3), (1, 0, 1), (3, -1, 5), (1, 3, 1), (2, 5, 1)
                (1, -3, 1), (2, -5, 1)]
 
 
+@dataclass(frozen=True)
+class EmbeddingMatrix:
+    """A real embedding (alpha, beta, gamma, delta) of a form (m, k, n).
+
+    alpha^2 + eps gamma^2 = m, 2(alpha beta + eps gamma delta) = k and
+    beta^2 + eps delta^2 = n, with eps = +1 circular or -1 hyperbolic, and
+    w = alpha delta - beta gamma."""
+
+    alpha: float
+    beta: float
+    gamma: float
+    delta: float
+    eps: int
+    w: float
+
+    def realized_coefficients(self) -> tuple[float, float, float]:
+        """(m, k, n) this embedding induces, for checking against a form."""
+        return (
+            self.alpha * self.alpha + self.eps * self.gamma * self.gamma,
+            2 * (self.alpha * self.beta + self.eps * self.gamma * self.delta),
+            self.beta * self.beta + self.eps * self.delta * self.delta,
+        )
+
+
+def _embedding_curve(form: Form, branch: int):
+    """(phase, at) of the witness curve, where at(theta) is its embedding.
+
+    The route curve_sample took through a public EmbeddingMatrix per point,
+    kept as the oracle for the points curve._curve now computes inline; the
+    proofs of its phase and of w are in curve._curve's docstring.
+    """
+    kind = form.definiteness()
+    if kind is Definiteness.DEGENERATE:
+        raise DegenerateFormError("the witness curve needs a nondegenerate form")
+    m, k, n = form.coefficients()
+    if m <= 0 or n <= 0:
+        raise ValueError("the witness curve needs m > 0 and n > 0")
+    sign = 1 if branch >= 0 else -1
+    try:
+        root = math.sqrt(abs(form.discriminant()))
+        if kind is Definiteness.POSITIVE_DEFINITE:
+            phase, eps, s, c = math.atan2(root, k), 1, math.sin, math.cos
+            phase = -phase if k < 0 else phase
+        else:
+            phase = math.asinh(root / math.sqrt(4 * m * n))
+            eps, s, c = -1, math.sinh, math.cosh
+        sm = sign * math.sqrt(m)
+        sn = sign * math.sqrt(n) * (-1 if eps == -1 and k < 0 else 1)
+    except OverflowError:
+        raise ValueError("the coefficients are too large for the "
+                         "floating-point witness curve") from None
+    w = (-root if k < 0 else root) / 2
+
+    def at(theta: float) -> EmbeddingMatrix:
+        return EmbeddingMatrix(sm * c(theta), sn * c(theta + phase), sm * s(theta),
+                               sn * s(theta + phase), eps, w)
+
+    return phase, at
+
+
+def curve_embedding(form: Form, theta: float, branch: int = 1) -> EmbeddingMatrix:
+    """Point (alpha, beta, gamma, delta) of the real embedding curve."""
+    return _embedding_curve(form, branch)[1](theta)
+
+
+def embedding_to_quadruple(emb: EmbeddingMatrix) -> tuple[float, float, float, float]:
+    """Recover the quadruple a witness embedding induces (w != 0)."""
+    alpha, beta, gamma, delta, eps, w = emb.alpha, emb.beta, emb.gamma, emb.delta, emb.eps, emb.w
+    a = (delta * (alpha * alpha - eps * gamma * gamma) + 2 * alpha * beta * gamma) / w
+    b = delta * (3 * beta * beta - eps * delta * delta) / w
+    c = (gamma * (beta * beta - eps * delta * delta) + 2 * alpha * beta * delta) / w
+    d = gamma * (3 * alpha * alpha - eps * gamma * gamma) / w
+    return a, b, c, d
+
+
+def embedding_curve_sample(form: Form, thetas, branch: int = 1) -> list[CurvePoint]:
+    """curve_sample by the embedding oracle: one EmbeddingMatrix per point."""
+    at = _embedding_curve(form, branch)[1]
+    points = []
+    for theta in thetas:
+        try:
+            quad = embedding_to_quadruple(at(theta))
+        except OverflowError:  # cosh or sinh past |theta| of about 710
+            quad = (math.inf,)
+        if not all(map(math.isfinite, quad)):
+            raise ValueError("the witness curve leaves the floating-point range "
+                             f"at theta = {theta}")
+        points.append(CurvePoint(float(theta), *quad))
+    return points
+
+
+def outcome(call, *args):
+    """repr of call(*args), or the type and text of what it raises."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+big = st.integers(-10**15, 10**15)
+
+
 @given(
-    st.sampled_from(CURVE_FORMS),
-    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    st.one_of(st.sampled_from(CURVE_FORMS),
+              st.tuples(st.integers(1, 10**15), big, st.integers(1, 10**15)),
+              st.tuples(big, big, big)),
+    st.lists(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), max_size=6),
+    st.lists(st.floats(min_value=-235.0, max_value=235.0, allow_nan=False), max_size=3),
     st.sampled_from([1, -1]),
 )
-@settings(max_examples=120)
-def test_curve_sample_points_are_embedding_quadruples(coeffs, theta, branch):
-    """A sampled point is the quadruple of the embedding at its theta."""
+@settings(max_examples=300)
+def test_curve_sample_points_are_embedding_quadruples(coeffs, thetas, far, branch):
+    """A sampled point is, float for float, the quadruple of the oracle's
+    embedding at its theta, and curve_sample raises exactly where the oracle
+    does; far theta only on indefinite forms, whose points stay finite there."""
     f = Form(*coeffs)
-    (pt,) = curve_sample(f, [theta], branch)
-    assert pt == CurvePoint(theta, *embedding_to_quadruple(curve_embedding(f, theta, branch)))
+    if f.discriminant() > 0:
+        thetas = thetas + far
+    assert outcome(curve_sample, f, thetas, branch) == outcome(
+        embedding_curve_sample, f, thetas, branch)
 
 
 @given(

@@ -763,13 +763,13 @@ def workflow_digest_pins() -> list[tuple[list[str], str]]:
 
 
 def test_workflow_digests_match_in_process_output(capsys):
-    """Every catalog, classify, form-info and verify digest that CI pins
-    equals the SHA-1 of the same commands run in process, so CI and these
-    tests cannot drift."""
+    """Every catalog, classify, curve, form-info and verify digest that CI
+    pins equals the SHA-1 of the same commands run in process, so CI and these
+    tests cannot drift, and no pin is dropped unnoticed."""
     pins = workflow_digest_pins()
-    assert len(pins) >= 9
+    assert len(pins) == 14
     assert {shlex.split(c)[1] for commands, _ in pins for c in commands} == {
-        "catalog", "classify", "form-info", "verify"}
+        "catalog", "classify", "curve", "form-info", "verify"}
     for commands, digest in pins:
         out = ""
         for command in commands:

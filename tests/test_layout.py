@@ -60,9 +60,9 @@ def test_classify_is_exact():
     namespace = vars(normed_forms.classify)
     assert not any(isinstance(v, types.ModuleType) and v.__name__ == "math"
                    for v in namespace.values())
-    assert not [name for name in namespace if name.startswith("curve_")]
-    for name in ("CurvePoint", "EmbeddingMatrix", "embedding_to_quadruple"):
-        assert name not in namespace
+    assert not [name for name, value in namespace.items()
+                if value is normed_forms.curve
+                or getattr(value, "__module__", None) == "normed_forms.curve"]
 
 
 def test_cli_uses_no_private_classify_names():
@@ -74,9 +74,12 @@ def test_cli_uses_no_private_classify_names():
 
 
 def test_curve_names_still_exported():
-    for name in ("CurvePoint", "EmbeddingMatrix", "curve_embedding", "curve_phase",
-                 "curve_sample", "embedding_to_quadruple"):
+    """A point has one public route: curve_sample, returning CurvePoints."""
+    for name in ("CurvePoint", "curve_phase", "curve_sample"):
         assert getattr(normed_forms, name).__module__ == "normed_forms.curve"
+    for name in ("EmbeddingMatrix", "curve_embedding", "embedding_to_quadruple"):
+        assert not hasattr(normed_forms, name)
+        assert not hasattr(normed_forms.curve, name)
 
 
 def test_readme_python_examples_run():

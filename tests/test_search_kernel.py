@@ -6,12 +6,14 @@ double loop of the minus-minus scan, and the pair-by-pair semigroup probe.
 So does the kernel-based definite branch of Form.represent that the plain
 ellipse loop replaced.  The genus-character filter of the probe is checked
 against brute force too, and the squaring map behind the probe's class rules
-against the product of lattices.  A loop over all four coordinates of small
+against the product of lattices, and the cube roots of unity it finds
+against the 3-group they must form.  A loop over all four coordinates of small
 minus-minus boxes checks the scan without any (a, c) reduction.
 """
 
 import time
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -530,6 +532,24 @@ def test_square_matches_lattice_product():
         assert square.discriminant() == delta and square.is_primitive()
         checked += 1
     assert checked == 8220
+
+
+def test_cube_roots_of_unity_form_a_3_group():
+    """The classes with [f]^3 = 1, that is [f o f] = [f]^-1 = [(m, -k, n)],
+    form a subgroup of exponent 3, so on every -3000 <= D <= -3 their count
+    is a power of 3 (ROADMAP K3)."""
+    counts = {}
+    for delta in range(-3000, -2):
+        if delta % 4 in (0, 1):
+            counts[delta] = sum(1 for f in reduced_forms(delta)
+                                if _square(f) == Form(f.m, -f.k, f.n).reduce()[0])
+    for count in counts.values():
+        while count % 3 == 0:
+            count //= 3
+        assert count == 1
+    assert (counts[-4], counts[-23], counts[-972]) == (1, 3, 9)
+    assert sum(counts.values()) == 2680
+    assert Counter(counts.values()) == {1: 934, 3: 558, 9: 8}
 
 
 def test_class_rules_agree_with_represent():
